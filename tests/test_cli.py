@@ -1,11 +1,62 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import math
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from levelcross.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Golden files: name -> argv.  Each tests/golden/<name>.txt holds the exact
+# stdout of main(argv); a refactor must reproduce every file byte for byte.
+# Regenerate with `python tests/test_cli.py --regen` only when an output is
+# meant to change, and say why in the change log.
+GOLDEN = {
+    "compute_geometric_n50_k1_intervals": [
+        "compute", "--n", "50", "--model", "geometric:0.5", "--k", "1",
+        "--interval", "-1..1", "--interval", "1..inf", "--interval", "-inf..-1",
+        "--interval", "-2..3"],
+    "compute_independent_small_n_json": [
+        "compute", "--n", "1,2,16", "--model", "independent", "--k", "0",
+        "--interval", "-inf..inf", "--format", "json"],
+    "compute_raised_cosine_n200_k2": [
+        "compute", "--n", "200", "--model", "raised_cosine", "--k", "2",
+        "--interval", "-inf..inf"],
+    "sweep_independent_fixed0": [
+        "sweep", "--n", "16:256:x2", "--model", "independent", "--k-rule", "fixed:0",
+        "--interval", "-inf..inf"],
+    "sweep_geometric_growing1": [
+        "sweep", "--n", "64:512:x2", "--model", "geometric:0.3", "--k-rule", "growing:1",
+        "--interval", "-inf..inf"],
+    "compare_independent_n20_seed5": [
+        "compare", "--n", "20", "--model", "independent", "--k", "0.5",
+        "--count", "400", "--seed", "5"],
+    "simulate_bisect_constant_n200": [
+        "simulate", "--n", "200", "--model", "constant:0.5", "--k", "0.5",
+        "--count", "200", "--seed", "3", "--counter", "bisect", "--interval", "-inf..inf"],
+    "simulate_companion_geometric_n30": [
+        "simulate", "--n", "30", "--model", "geometric:0.5", "--k", "1",
+        "--count", "300", "--seed", "11", "--counter", "companion",
+        "--interval", "-1..1", "--interval", "1..inf"],
+}
+
+
+def _golden_stdout(argv) -> bytes:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(argv)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name):
+    assert _golden_stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 def _run(capsys, argv):
@@ -134,3 +185,11 @@ def test_n_spec_comma_list(capsys):
                               "--k", "0", "--interval", "-1..1"])
     assert code == 0
     assert [r["n"] for r in _rows(out)] == ["4", "8"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: python tests/test_cli.py --regen  (rewrites tests/golden/)")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(GOLDEN.items()):
+        (GOLDEN_DIR / f"{name}.txt").write_bytes(_golden_stdout(argv))
