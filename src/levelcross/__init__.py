@@ -10,13 +10,13 @@ from .asymptotics import (
     EdgeZoom,
     edge_moment_approx,
     fit_log_slope,
+    interval_prediction,
     theorem_prediction,
 )
 from .moments import (
-    IntegrandValue,
     MomentTriple,
     PolynomialEnsemble,
-    integrand,
+    intensity,
     moments_direct,
     moments_outer_scaled,
     moments_spectral,
@@ -25,7 +25,7 @@ from .moments import (
 from .montecarlo import (
     MCEstimate,
     SampleBatch,
-    count_crossings_bisect,
+    count_crossings_bisect_batch,
     count_level_crossings,
     empirical_covariance,
     estimate_crossings,

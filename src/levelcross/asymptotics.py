@@ -29,6 +29,7 @@ __all__ = [
     "AsymptoticPrediction",
     "EdgeZoom",
     "theorem_prediction",
+    "interval_prediction",
     "edge_moment_approx",
     "fit_log_slope",
 ]
@@ -63,6 +64,41 @@ def theorem_prediction(n: int, K: float, regime: str, interval_class: str) -> As
     else:
         value = math.log(n) / math.pi
     return AsymptoticPrediction(regime, interval_class, value, "O(log log n)")
+
+
+def interval_prediction(n: int, K: float, spec) -> float | None:
+    """Closed-form asymptote for intervals made of whole analysis pieces.
+
+    spec has .lo and .hi.  The inner interval (-1,1) and each full tail
+    carry their own term; intervals that only partially cover a piece get
+    no prediction.
+    """
+    if n < 3:
+        return None
+    regime = "K_bounded" if K == 0.0 else "K_growing"
+    if regime == "K_growing" and K * K >= n:
+        return None
+    total = 0.0
+    covered = False
+    if spec.lo <= -1.0 and spec.hi >= 1.0:
+        total += theorem_prediction(n, K, regime, "inner").value
+        covered = True
+    elif -1.0 <= spec.lo and spec.hi <= 1.0:
+        if (spec.lo, spec.hi) != (-1.0, 1.0):
+            return None
+        total += theorem_prediction(n, K, regime, "inner").value
+        covered = True
+    if spec.hi > 1.0:
+        if spec.lo > 1.0 or not math.isinf(spec.hi):
+            return None
+        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
+        covered = True
+    if spec.lo < -1.0:
+        if spec.hi < -1.0 or not math.isinf(spec.lo):
+            return None
+        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
+        covered = True
+    return total if covered else None
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .asymptotics import fit_log_slope
+from .asymptotics import fit_log_slope, interval_prediction
 from .montecarlo import estimate_crossings
 from .moments import PolynomialEnsemble
-from .quadrature import (
-    CrossingRow,
-    IntervalSpec,
-    crossing_table,
-    expected_crossings,
-    _interval_prediction,
-)
+from .quadrature import CrossingRow, IntervalSpec, crossing_table, expected_crossings
 from .spectrum import CovarianceModel
 
 COLUMNS = [
@@ -64,19 +58,6 @@ def _parse_n_spec(text: str) -> list[int]:
             n *= factor
         return out
     return [int(tok) for tok in text.split(",")]
-
-
-def _parse_model(text: str) -> CovarianceModel:
-    name, _, arg = text.partition(":")
-    if name == "independent":
-        return CovarianceModel.independent()
-    if name == "geometric":
-        return CovarianceModel.geometric(float(arg))
-    if name == "raised_cosine":
-        return CovarianceModel.raised_cosine()
-    if name == "constant":
-        return CovarianceModel.constant(float(arg))
-    raise ValueError(f"unknown model {text!r}")
 
 
 def _parse_k_rule(text: str):
@@ -140,19 +121,19 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[st
 
 
 def _quadrature_rows(cfg: RunConfig) -> list[dict]:
-    model = _parse_model(cfg.model_text)
+    model = CovarianceModel.parse(cfg.model_text)
     rows = crossing_table(model, cfg.n_list, cfg.level, cfg.intervals, tol=cfg.tol)
     return [_row_dict(r, "kac_rice") for r in rows]
 
 
 def _simulate_rows(cfg: RunConfig) -> list[dict]:
-    model = _parse_model(cfg.model_text)
+    model = CovarianceModel.parse(cfg.model_text)
     out = []
     for n in cfg.n_list:
         ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
         for spec in cfg.intervals:
             est = estimate_crossings(ens, spec, count=cfg.count, seed=cfg.seed, counter=cfg.counter)
-            pred = _interval_prediction(n, cfg.level, spec)
+            pred = interval_prediction(n, cfg.level, spec)
             out.append({
                 "n": n, "K": cfg.level, "model": model.label,
                 "interval_lo": spec.lo, "interval_hi": spec.hi,
@@ -167,14 +148,14 @@ def _simulate_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _compare_rows(cfg: RunConfig) -> list[dict]:
-    model = _parse_model(cfg.model_text)
+    model = CovarianceModel.parse(cfg.model_text)
     out = []
     for n in cfg.n_list:
         ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
         for spec in cfg.intervals:
             quad = expected_crossings(ens, spec, tol=cfg.tol)
             mc = estimate_crossings(ens, spec, count=cfg.count, seed=cfg.seed, counter=cfg.counter)
-            pred = _interval_prediction(n, cfg.level, spec)
+            pred = interval_prediction(n, cfg.level, spec)
             z = (mc.mean - quad.value) / mc.std_error if mc.std_error > 0 else None
             out.append({
                 "n": n, "K": cfg.level, "model": model.label,
@@ -191,7 +172,7 @@ def _compare_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _sweep(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    model = _parse_model(cfg.model_text)
+    model = CovarianceModel.parse(cfg.model_text)
     k_rule = _parse_k_rule(cfg.k_rule_text) if cfg.k_rule_text else cfg.level
     rows = crossing_table(model, cfg.n_list, k_rule, cfg.intervals, tol=cfg.tol)
     dicts = [_row_dict(r, "kac_rice") for r in rows]
@@ -218,17 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--n", help="degree, comma list, or dyadic sweep 'a:b:x2'")
-        p.add_argument("--model", help="independent | geometric:RHO | raised_cosine | constant:RHO")
+        p.add_argument("--model", help="independent | geometric:RHO | raised_cosine | "
+                                        "constant:RHO | custom_fourier:G0,G1,...")
         p.add_argument("--k", type=float, default=None, help="crossing level K")
         p.add_argument("--interval", action="append",
                        help="interval 'a..b' (-inf/inf allowed); repeatable")
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=float, help="quadrature error target (default 1e-6)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="output path (default stdout)")
         if name in ("simulate", "compare"):
-            p.add_argument("--count", type=int, default=1000, help="Monte Carlo samples")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--counter", choices=("auto", "companion", "bisect"), default="auto")
+            p.add_argument("--count", type=int, help="Monte Carlo samples (default 1000)")
+            p.add_argument("--seed", type=int, help="master seed (default 0)")
+            p.add_argument("--counter", choices=("auto", "companion", "bisect"),
+                           help="root counter (default auto)")
         if name == "sweep":
             p.add_argument("--k-rule", dest="k_rule",
                            help="'fixed:K' or 'growing:c' (K(n)=c*sqrt(n/loglog n)/log n)")
@@ -242,9 +225,11 @@ def _load_config(args) -> RunConfig:
             file_cfg = json.load(fh)
 
     def pick(flag_value, key, default=None):
+        """The flag if given, else the config field if set, else the default."""
         if flag_value is not None:
             return flag_value
-        return file_cfg.get(key, default)
+        value = file_cfg.get(key)
+        return default if value is None else value
 
     n_text = pick(args.n, "n")
     if n_text is None:
@@ -267,10 +252,10 @@ def _load_config(args) -> RunConfig:
         k_rule_text=pick(getattr(args, "k_rule", None), "k_rule"),
         model_text=str(model_text),
         intervals=[IntervalSpec.parse(str(t)) for t in intervals_raw],
-        tol=float(pick(args.tol if args.tol != 1e-6 else None, "tol", 1e-6)),
-        count=int(pick(getattr(args, "count", None), "count", 1000) or 1000),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0) or 0),
-        counter=str(pick(getattr(args, "counter", None), "counter", "auto") or "auto"),
+        tol=float(pick(args.tol, "tol", 1e-6)),
+        count=int(pick(getattr(args, "count", None), "count", 1000)),
+        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
+        counter=str(pick(getattr(args, "counter", None), "counter", "auto")),
         fmt=args.format,
         output=pick(args.output, "output"),
     )

@@ -1,4 +1,4 @@
-"""Second-moment functions A, B, C and the crossing-intensity integrand.
+"""Second-moment functions A, B, C and the Kac-Rice crossing intensity.
 
 For P_n(x) = sum_k X_k x^k with stationary coefficients,
 
@@ -22,6 +22,10 @@ stationary covariance, hence the same moment functions, and
 with the Gram determinant contracting to
 (z^{2n} A(1/z))(z^{2n-2} C(1/z)) - (z^{2n-1} B(1/z))^2 = z^2 (AC - B^2)(z),
 which is free of the catastrophic cancellation of the raw forms.
+
+intensity() is the one implementation of the crossing intensity F1 + F2:
+it takes moment arrays, so quadrature evaluates it on whole batches of
+points, in plain coordinates and in the transformed tails alike.
 """
 
 from __future__ import annotations
@@ -31,14 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
+from scipy.special import erf
 
 from .spectrum import CovarianceModel, CovarianceSequence, SpectralDensity
 
 GRAM_EPS = 1e-10  # tolerance for AC - B^2 treated as a removable zero
 
 
-def erf_integral(x: float) -> float:
-    """The unnormalized error integral int_0^x exp(-t^2) dt.
+def erf_integral(x):
+    """The unnormalized error integral int_0^x exp(-t^2) dt, elementwise.
 
     The crossing-intensity F2 term is classically written with this
     convention (it equals sqrt(pi)/2 times the normalized erf); using the
@@ -46,17 +51,19 @@ def erf_integral(x: float) -> float:
     out both by the exact conditional-expectation form of the crossing
     density and by Monte Carlo.
     """
-    return 0.5 * math.sqrt(math.pi) * math.erf(x)
+    return 0.5 * math.sqrt(math.pi) * erf(x)
+
 
 __all__ = [
     "PolynomialEnsemble",
     "MomentTriple",
-    "IntegrandValue",
+    "erf_integral",
+    "intensity",
     "moments_direct",
     "moments_spectral",
     "moments_outer_scaled",
+    "scaled_outer_from_inner",
     "unscale_moments",
-    "integrand",
 ]
 
 
@@ -93,14 +100,6 @@ class MomentTriple:
     @property
     def gram(self) -> float:
         return self.A * self.C - self.B * self.B
-
-
-@dataclass(frozen=True)
-class IntegrandValue:
-    """Per-unit-length crossing intensities (F1: level term, F2: drift term)."""
-
-    F1: float
-    F2: float
 
 
 # ---------------------------------------------------------------------------
@@ -236,84 +235,48 @@ def unscale_moments(m: MomentTriple, z: float) -> MomentTriple:
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# Kac-Rice integrand
+# Kac-Rice intensity
 # ---------------------------------------------------------------------------
 
 
-def _gram_and_expfactor(A, B, C, K, exp_arg_num):
-    """Shared removable-singularity handling for the F1 exponential.
+def intensity(A, B, C, K: float, Bl, Cl, zpow=(1.0, 1.0, 1.0)):
+    """Vectorized crossing intensities F1 (level term) and F2 (drift term).
 
-    exp_arg_num is the numerator of the exponent (K^2 * C-like term); the
-    full exponent is exp_arg_num / (2 * gram).  Returns (gram, expfactor).
-    """
-    gram = A * C - B * B
-    ref = abs(A * C)
-    if gram < -GRAM_EPS * ref:
-        raise ValueError(f"degenerate moment triple: AC - B^2 = {gram:.3e} < 0 beyond tolerance")
-    gram = max(gram, 0.0)
-    if gram <= GRAM_EPS * ref:
-        return gram, (1.0 if K == 0.0 else 0.0)
-    return gram, math.exp(-exp_arg_num / (2.0 * gram))
-
-
-def integrand(
-    e: PolynomialEnsemble,
-    m: MomentTriple,
-    at_reciprocal: bool = False,
-    z: float | None = None,
-) -> IntegrandValue:
-    """F1, F2 of the crossing-intensity formula at one point.
-
-    Plain form (scale_exponent 0, per unit x):
+    Plain form, per unit x, with the inner triple (A, B, C) at x:
 
         F1 = (1/pi) sqrt(AC-B^2)/A * exp(-K^2 C / (2(AC-B^2)))
         F2 = (sqrt(2)/pi) |BK| / A^{3/2} * exp(-K^2/(2A))
              * erf_integral(|BK| / sqrt(2A(AC-B^2)))
 
-    where erf_integral is the unnormalized error integral (see
-    erf_integral); equivalently the F2 prefactor is 1/sqrt(2 pi) with
-    the normalized erf.
-
-    With at_reciprocal=True, m must be a scaled outer triple and z the
-    transform point; the returned values are per unit z and include the
-    1/z^2 Jacobian, with all powers of z kept in underflow-safe form
-    (the F1 exponent uses z^{2n} * C / (AC - B^2), which is finite).
+    with Bl = B, Cl = C and unit z-powers.  The outer form x = 1/z takes
+    the inner triple at z, the scaled level-term moments Bl = Btil,
+    Cl = Ctil of scaled_outer_from_inner, and zpow = (|z|^{n-1},
+    |z|^{2n-2}, |z|^{2n}); its values are per unit z and include the 1/z^2
+    Jacobian.  In both forms the Gram determinant is the inner AC - B^2
+    (the scaled one contracts to z^2 (AC - B^2)), and where it vanishes
+    within GRAM_EPS the F1 exponential is taken as its limit.
     """
-    K = abs(e.level)
-    A, B, C = m.A, m.B, m.C
-
-    if not at_reciprocal:
-        if m.scale_exponent != 0:
-            raise ValueError("scaled triple passed without at_reciprocal=True")
-        gram, expfac = _gram_and_expfactor(A, B, C, K, K * K * C)
-        F1 = math.sqrt(gram) / A * expfac / math.pi
+    zn1, z2n2, z2n = zpow
+    G = A * C - B * B
+    ref = np.abs(A * C)
+    if np.any(G < -GRAM_EPS * ref):
+        raise ValueError("degenerate moment triple encountered (AC - B^2 < 0 beyond tolerance)")
+    G = np.clip(G, 0.0, None)
+    small = G <= GRAM_EPS * ref
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         if K == 0.0:
-            return IntegrandValue(F1=F1, F2=0.0)
-        erf_arg = math.inf if gram == 0.0 else abs(B) * K / math.sqrt(2.0 * A * gram)
-        F2 = (
-            math.sqrt(2.0) / math.pi * abs(B) * K / A**1.5
-            * math.exp(-K * K / (2.0 * A))
-            * erf_integral(erf_arg)
-        )
-        return IntegrandValue(F1=F1, F2=F2)
-
-    if z is None or z == 0.0:
-        raise ValueError("at_reciprocal form requires the transform point z != 0")
-    if m.scale_exponent != 2 * e.n:
-        raise ValueError("at_reciprocal form requires a scaled outer triple")
-    n = e.n
-    az = abs(z)
-    z2n = az ** (2 * n)
-    gram, expfac = _gram_and_expfactor(A, B, C, K, K * K * z2n * C)
-    F1 = math.sqrt(gram) / (az * A) * expfac / math.pi
-    if K == 0.0:
-        return IntegrandValue(F1=F1, F2=0.0)
-    zn = az**n
-    erf_arg = math.inf if gram == 0.0 else zn * abs(B) * K / math.sqrt(2.0 * A * gram)
-    F2 = (
-        math.sqrt(2.0) / math.pi * zn / az * abs(B) * K / A**1.5
-        * math.exp(-K * K * z2n / (2.0 * A))
-        * erf_integral(erf_arg)
-    )
-    return IntegrandValue(F1=F1, F2=F2)
+            expfac = np.ones_like(G)
+        else:
+            arg = np.where(G > 0.0, K * K * z2n2 * Cl / (2.0 * G), np.inf)
+            expfac = np.where(small, 0.0, np.exp(-arg))
+        F1 = np.sqrt(G) / A * expfac / math.pi
+        if K == 0.0:
+            F2 = np.zeros_like(F1)
+        else:
+            erf_arg = np.where(G > 0.0, zn1 * np.abs(Bl) * K / np.sqrt(2.0 * A * G), np.inf)
+            pref = math.sqrt(2.0) / math.pi * zn1 * np.abs(Bl) * K / A**1.5
+            F2 = pref * np.exp(-K * K * z2n / (2.0 * A)) * erf_integral(erf_arg)
+    return F1, F2

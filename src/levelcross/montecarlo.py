@@ -12,11 +12,13 @@ Two counters are provided:
   thresholding, guarded Newton refinement, and de-duplication.  Exact
   (matches a rational Sturm oracle on small-degree polynomials) but
   O(n^3) per sample.
-* count_crossings_bisect: certified sign-change bisection with interval
-  derivative bounds, O(n) per evaluation.  Counts sign crossings, which
-  for Gaussian samples equals the distinct-root count almost surely
-  (tangencies have probability zero).  Used by the estimator at large
-  degree for speed; the two counters are cross-checked in the tests.
+* count_crossings_bisect_batch: certified sign-change bisection with
+  interval derivative bounds, run on the whole sample batch at once,
+  O(n) per evaluation.  Counts sign crossings, which for Gaussian samples
+  equals the distinct-root count almost surely (tangencies have
+  probability zero).  Used by the estimator at large degree for speed;
+  the two counters are cross-checked in the tests.  A single polynomial
+  is a batch of one row.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "MCEstimate",
     "sample_coefficients",
     "count_level_crossings",
-    "count_crossings_bisect",
+    "count_crossings_bisect_batch",
     "estimate_crossings",
     "empirical_covariance",
 ]
@@ -227,50 +229,6 @@ def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE
 # ---------------------------------------------------------------------------
 
 
-def _count_sign_crossings(coeffs_asc: np.ndarray, lo: float, hi: float, htol: float = 1e-12) -> int:
-    """Sign crossings of the polynomial on (lo, hi) by certified bisection.
-
-    An interval is discarded once an endpoint value exceeds the interval
-    derivative bound times its width (no root possible); unresolved
-    intervals below the width tolerance contribute their sign change.
-    """
-    if not lo < hi:
-        return 0
-    desc = coeffs_asc[::-1]
-    dabs_desc = (np.abs(coeffs_asc[1:]) * np.arange(1, len(coeffs_asc)))[::-1]
-
-    a = np.array([lo])
-    b = np.array([hi])
-    fa = np.polyval(desc, a)
-    fb = np.polyval(desc, b)
-    count = 0
-    for _ in range(80):
-        if len(a) == 0:
-            break
-        mid = 0.5 * (a + b)
-        fm = np.polyval(desc, mid)
-        r = np.maximum(np.abs(a), np.abs(b))
-        bound = np.polyval(dabs_desc, r)
-
-        na, nb, nfa, nfb = [], [], [], []
-        for (u, v, fu, fv) in ((a, mid, fa, fm), (mid, b, fm, fb)):
-            width = v - u
-            certified = np.maximum(np.abs(fu), np.abs(fv)) > bound * width
-            tiny = width <= htol * (1.0 + np.abs(v))
-            resolved = certified | tiny
-            count += int(np.sum(tiny & ~certified & ((fu > 0) != (fv > 0))))
-            keep = ~resolved
-            na.append(u[keep])
-            nb.append(v[keep])
-            nfa.append(fu[keep])
-            nfb.append(fv[keep])
-        a = np.concatenate(na)
-        b = np.concatenate(nb)
-        fa = np.concatenate(nfa)
-        fb = np.concatenate(nfb)
-    return count
-
-
 def _heval_rows(desc: np.ndarray, si: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation of row si's descending coefficients at x[i]."""
     acc = desc[si, 0].astype(float)
@@ -280,8 +238,13 @@ def _heval_rows(desc: np.ndarray, si: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _batch_sign_crossings(desc: np.ndarray, lo: float, hi: float, htol: float = 1e-12) -> np.ndarray:
-    """Per-row sign crossings on (lo, hi); the batched twin of
-    _count_sign_crossings with identical subdivision and certificates."""
+    """Per-row sign crossings on (lo, hi) by certified bisection.
+
+    desc holds one polynomial per row, descending coefficients.  An
+    interval is discarded once an endpoint value exceeds the interval
+    derivative bound times its width (no root possible); unresolved
+    intervals below the width tolerance contribute their sign change.
+    """
     m, d = desc.shape
     counts = np.zeros(m, dtype=np.int64)
     if not lo < hi or d < 2:
@@ -324,7 +287,10 @@ def _batch_sign_crossings(desc: np.ndarray, lo: float, hi: float, htol: float = 
 
 
 def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> np.ndarray:
-    """count_crossings_bisect over a whole sample batch (rows of coeffs)."""
+    """Sign crossings of P(x) - K in spec, one count per row of coeffs.
+
+    |x| > 1 is handled through the reversed polynomial at z = 1/x.
+    """
     c = np.asarray(coeffs, dtype=float).copy()
     c[:, 0] -= K
     desc = c[:, ::-1]
@@ -342,29 +308,6 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: Inter
         zlo = 1.0 / min(spec.hi, -1.0)
         zhi = 0.0 if math.isinf(spec.lo) else 1.0 / spec.lo
         total += _batch_sign_crossings(c, zlo, zhi)
-    return total
-
-
-def count_crossings_bisect(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> int:
-    """Sign crossings of P(x) - K in spec; |x| > 1 handled via the reversed polynomial."""
-    c = _trimmed(coeffs, K)
-    if len(c) == 1:
-        return 0
-    total = 0
-    ilo = max(spec.lo, -1.0)
-    ihi = min(spec.hi, 1.0)
-    if ilo < ihi:
-        total += _count_sign_crossings(c, ilo, ihi)
-    # x > 1  <->  reversed polynomial roots at z = 1/x in (0, 1)
-    rev = c[::-1].copy()
-    if spec.hi > 1.0:
-        zlo = 0.0 if math.isinf(spec.hi) else 1.0 / spec.hi
-        zhi = 1.0 / max(spec.lo, 1.0)
-        total += _count_sign_crossings(rev, zlo, zhi)
-    if spec.lo < -1.0:
-        zlo = 1.0 / min(spec.hi, -1.0)
-        zhi = 0.0 if math.isinf(spec.lo) else 1.0 / spec.lo
-        total += _count_sign_crossings(rev, zlo, zhi)
     return total
 
 

@@ -12,20 +12,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
-from .moments import GRAM_EPS, PolynomialEnsemble, moment_arrays, scaled_outer_from_inner
+from .asymptotics import interval_prediction
+from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
 from .spectrum import covariance_from_density
 
 EDGE_CLIP = 1e-12  # integration stops this far from |x| = 1 (and |z| = 1)
-
-
-def _erf_integral(x: np.ndarray) -> np.ndarray:
-    """Vectorized unnormalized error integral int_0^x exp(-t^2) dt."""
-    return 0.5 * math.sqrt(math.pi) * _erf(x)
 
 __all__ = [
     "IntervalSpec",
@@ -129,62 +124,17 @@ class KacRiceEvaluator:
     def inner(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F1, F2 per unit x on (-1, 1)."""
         A, B, C = moment_arrays(self.gamma, self.n, xs)
-        K = self.K
-        G = A * C - B * B
-        ref = np.abs(A * C)
-        if np.any(G < -GRAM_EPS * ref):
-            raise ValueError("degenerate moment triple encountered (AC - B^2 < 0 beyond tolerance)")
-        G = np.clip(G, 0.0, None)
-        small = G <= GRAM_EPS * ref
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if K == 0.0:
-                expfac = np.ones_like(G)
-            else:
-                arg = np.where(G > 0.0, K * K * C / (2.0 * G), np.inf)
-                expfac = np.where(small, 0.0, np.exp(-arg))
-            F1 = np.sqrt(G) / A * expfac / math.pi
-            if K == 0.0:
-                F2 = np.zeros_like(F1)
-            else:
-                erf_arg = np.where(G > 0.0, np.abs(B) * K / np.sqrt(2.0 * A * G), np.inf)
-                pref = math.sqrt(2.0) / math.pi * np.abs(B) * K / A**1.5
-                F2 = pref * np.exp(-K * K / (2.0 * A)) * _erf_integral(erf_arg)
-        return F1, F2
+        return intensity(A, B, C, self.K, B, C)
 
     def transformed(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F1 + F2)(1/z) / z^2 per unit z, for 0 < |z| < 1 (covers |x| > 1)."""
         n = self.n
-        K = self.K
         A, B, C = moment_arrays(self.gamma, n, zs)
+        _, Bt, C2 = scaled_outer_from_inner(n, zs, A, B, C)
         az = np.abs(zs)
-        Bt = zs * B - n * A
-        C2 = n * n * A - 2.0 * n * zs * B + zs * zs * C
         with np.errstate(under="ignore"):
-            znm1 = az ** (n - 1)
-            z2n = az ** (2 * n)
-        pref = math.sqrt(2.0) / math.pi * znm1 * np.abs(Bt) * K / A**1.5
-        # Gram determinant of the scaled triple contracts to AC - B^2 at z,
-        # so F1/F2 are assembled from the inner moments directly.
-        G = A * C - B * B
-        ref = np.abs(A * C)
-        if np.any(G < -GRAM_EPS * ref):
-            raise ValueError("degenerate moment triple encountered (AC - B^2 < 0 beyond tolerance)")
-        G = np.clip(G, 0.0, None)
-        small = G <= GRAM_EPS * ref
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            z2nm2 = az ** (2 * n - 2)
-            if K == 0.0:
-                expfac = np.ones_like(G)
-            else:
-                arg = np.where(G > 0.0, K * K * z2nm2 * C2 / (2.0 * G), np.inf)
-                expfac = np.where(small, 0.0, np.exp(-arg))
-            F1 = np.sqrt(G) / A * expfac / math.pi
-            if K == 0.0:
-                F2 = np.zeros_like(F1)
-            else:
-                erf_arg = np.where(G > 0.0, znm1 * np.abs(Bt) * K / np.sqrt(2.0 * A * G), np.inf)
-                F2 = pref * np.exp(-K * K * z2n / (2.0 * A)) * _erf_integral(erf_arg)
-        return F1, F2
+            zpow = (az ** (n - 1), az ** (2 * n - 2), az ** (2 * n))
+        return intensity(A, B, C, self.K, Bt, C2, zpow)
 
     def __call__(self, pts: np.ndarray, transformed: bool) -> tuple[np.ndarray, np.ndarray]:
         return self.transformed(pts) if transformed else self.inner(pts)
@@ -230,29 +180,19 @@ def _gk15(fun, a: float, b: float, transformed: bool):
     return h * float(_WGK @ f1v), h * float(_WGK @ f2v), abs(k15 - g7)
 
 
-@dataclass
-class _Panel:
-    a: float
-    b: float
-    f1: float
-    f2: float
-    err: float
-    transformed: bool
-
-
 def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192):
     """Global adaptive refinement over initial segments.
 
-    segments: iterable of (a, b, transformed).  Returns (panels, flagged).
+    segments: iterable of (a, b, transformed).  Returns (pieces, flagged).
     """
-    panels: dict[int, _Panel] = {}
+    panels: dict[int, Piece] = {}
     heap: list = []
     counter = 0
     for (a, b, transformed) in segments:
         if not a < b:
             continue
         f1, f2, err = _gk15(fun, a, b, transformed)
-        panels[counter] = _Panel(a, b, f1, f2, err, transformed)
+        panels[counter] = Piece(a, b, f1, f2, err, transformed)
         heapq.heappush(heap, (-err, counter))
         counter += 1
 
@@ -268,15 +208,15 @@ def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192):
         if idx not in panels or panels[idx].err != -neg_err:
             continue  # stale heap entry
         worst = panels.pop(idx)
-        mid = 0.5 * (worst.a + worst.b)
-        if mid <= worst.a or mid >= worst.b:
+        mid = 0.5 * (worst.lo + worst.hi)
+        if mid <= worst.lo or mid >= worst.hi:
             # cannot bisect further in floating point; keep as-is
             panels[idx] = worst
             flagged = flagged or worst.err > tol
             break
-        for (a, b) in ((worst.a, mid), (mid, worst.b)):
+        for (a, b) in ((worst.lo, mid), (mid, worst.hi)):
             f1, f2, err = _gk15(fun, a, b, worst.transformed)
-            panels[counter] = _Panel(a, b, f1, f2, err, worst.transformed)
+            panels[counter] = Piece(a, b, f1, f2, err, worst.transformed)
             heapq.heappush(heap, (-err, counter))
             counter += 1
     return list(panels.values()), flagged
@@ -342,12 +282,14 @@ def expected_crossings(
             if min(spec.hi, -1.0) >= -1.0:
                 tail_err += 2.0 * EDGE_CLIP * float(fun.transformed(np.array([-1.0 + EDGE_CLIP]))[0][0])
 
-    panels, flagged = _adaptive_panels(fun, segments, tol)
-    panels.sort(key=lambda p: (p.transformed, p.a))
-    pieces = tuple(Piece(p.a, p.b, p.f1, p.f2, p.err, p.transformed) for p in panels)
+    pieces, flagged = _adaptive_panels(fun, segments, tol)
+    pieces.sort(key=lambda p: (p.transformed, p.lo))
     value = sum(p.f1 + p.f2 for p in pieces)
     abs_err = sum(p.err for p in pieces) + tail_err
-    return CrossingEstimate(value=value, abs_err=abs_err, pieces=pieces, flagged=flagged)
+    # the panel loop stops at tol, but the clipped edges can still push
+    # the total past it: such an estimate is not trustworthy
+    return CrossingEstimate(value=value, abs_err=abs_err, pieces=tuple(pieces),
+                            flagged=flagged or abs_err > tol)
 
 
 # ---------------------------------------------------------------------------
@@ -370,42 +312,6 @@ class CrossingRow:
     flagged: bool = False
 
 
-def _interval_prediction(n: int, K: float, spec: IntervalSpec) -> float | None:
-    """Closed-form asymptote for intervals made of whole analysis pieces.
-
-    The inner interval (-1,1) and each full tail carry their own term;
-    intervals that only partially cover a piece get no prediction.
-    """
-    from .asymptotics import theorem_prediction
-
-    if n < 3:
-        return None
-    regime = "K_bounded" if K == 0.0 else "K_growing"
-    if regime == "K_growing" and K * K >= n:
-        return None
-    total = 0.0
-    covered = False
-    if spec.lo <= -1.0 and spec.hi >= 1.0:
-        total += theorem_prediction(n, K, regime, "inner").value
-        covered = True
-    elif -1.0 <= spec.lo and spec.hi <= 1.0:
-        if (spec.lo, spec.hi) != (-1.0, 1.0):
-            return None
-        total += theorem_prediction(n, K, regime, "inner").value
-        covered = True
-    if spec.hi > 1.0:
-        if spec.lo > 1.0 or not math.isinf(spec.hi):
-            return None
-        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
-        covered = True
-    if spec.lo < -1.0:
-        if spec.hi < -1.0 or not math.isinf(spec.lo):
-            return None
-        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
-        covered = True
-    return total if covered else None
-
-
 def crossing_table(
     model,
     n_list,
@@ -426,7 +332,7 @@ def crossing_table(
         ens = PolynomialEnsemble(n=n, model=model, level=K)
         for spec in intervals:
             est = expected_crossings(ens, spec, tol=tol)
-            pred = _interval_prediction(n, K, spec)
+            pred = interval_prediction(n, K, spec)
             ratio = est.value / pred if pred else None
             rows.append(CrossingRow(
                 n=n, level=K, model=model.label, interval=spec,

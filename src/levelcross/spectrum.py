@@ -296,26 +296,28 @@ class CovarianceModel:
         return CovarianceModel(kind="density", density=density_from_covariance(seq))
 
     @staticmethod
-    def from_config(config: dict) -> "CovarianceModel":
-        """Structured config: {"model": name, "rho": r, "gamma": [...]}."""
-        name = config.get("model")
-        if name == "independent":
+    def parse(text: str) -> "CovarianceModel":
+        """Model from its text form, as given to the CLI's --model.
+
+        'independent', 'geometric:RHO', 'raised_cosine', 'constant:RHO' or
+        'custom_fourier:G0,G1,...' (covariance lags, G0 = 1).  A missing,
+        extra or malformed argument raises ValueError.
+        """
+        name, colon, arg = text.partition(":")
+        if name == "independent" and not colon:
             return CovarianceModel.independent()
-        if name == "geometric":
-            if "rho" not in config:
-                raise ValueError("geometric model config requires 'rho'")
-            return CovarianceModel.geometric(float(config["rho"]))
-        if name == "raised_cosine":
+        if name == "raised_cosine" and not colon:
             return CovarianceModel.raised_cosine()
-        if name == "constant":
-            if "rho" not in config:
-                raise ValueError("constant model config requires 'rho'")
-            return CovarianceModel.constant(float(config["rho"]))
-        if name == "custom_fourier":
-            if "gamma" not in config:
-                raise ValueError("custom_fourier model config requires 'gamma'")
-            return CovarianceModel.from_fourier(config["gamma"])
-        raise ValueError(f"unknown model name {name!r}")
+        if name == "geometric" and arg:
+            return CovarianceModel.geometric(float(arg))
+        if name == "constant" and arg:
+            return CovarianceModel.constant(float(arg))
+        if name == "custom_fourier" and arg:
+            return CovarianceModel.from_fourier([float(tok) for tok in arg.split(",")])
+        raise ValueError(
+            f"model {text!r} is not one of independent, geometric:RHO, raised_cosine, "
+            "constant:RHO, custom_fourier:G0,G1,..."
+        )
 
     # -- accessors ----------------------------------------------------
 

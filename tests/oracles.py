@@ -2,11 +2,12 @@
 
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
-and the exact Kac-Rice mean for constant covariance from its closed-form
-moments.
+the scalar Kac-Rice integrand at one point, and the exact Kac-Rice mean for
+constant covariance from its closed-form moments.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,92 @@ def sturm_count(coeffs, lo, hi):
     lo = lo if lo in (math.inf, -math.inf) else Fraction(lo)
     hi = hi if hi in (math.inf, -math.inf) else Fraction(hi)
     return _variations(chain, lo) - _variations(chain, hi)
+
+
+GRAM_EPS = 1e-10  # AC - B^2 at or below this relative size is a removable zero
+
+
+def erf_integral(x):
+    """The unnormalized error integral int_0^x exp(-t^2) dt."""
+    return 0.5 * math.sqrt(math.pi) * math.erf(x)
+
+
+@dataclass(frozen=True)
+class IntegrandValue:
+    """Per-unit-length crossing intensities (F1: level term, F2: drift term)."""
+
+    F1: float
+    F2: float
+
+
+def _gram_and_expfactor(A, B, C, K, exp_arg_num):
+    """Removable-singularity handling for the F1 exponential.
+
+    exp_arg_num is the numerator of the exponent (K^2 * C-like term); the
+    full exponent is exp_arg_num / (2 * gram).  Returns (gram, expfactor).
+    """
+    gram = A * C - B * B
+    ref = abs(A * C)
+    if gram < -GRAM_EPS * ref:
+        raise ValueError(f"degenerate moment triple: AC - B^2 = {gram:.3e} < 0 beyond tolerance")
+    gram = max(gram, 0.0)
+    if gram <= GRAM_EPS * ref:
+        return gram, (1.0 if K == 0.0 else 0.0)
+    return gram, math.exp(-exp_arg_num / (2.0 * gram))
+
+
+def integrand(e, m, at_reciprocal=False, z=None):
+    """F1, F2 of the crossing-intensity formula at one point, in scalar math.
+
+    e needs .n and .level; m needs .A, .B, .C and .scale_exponent (0 for
+    a plain triple, 2n for the scaled outer triple at x = 1/z).  Plain
+    form, per unit x:
+
+        F1 = (1/pi) sqrt(AC-B^2)/A * exp(-K^2 C / (2(AC-B^2)))
+        F2 = (sqrt(2)/pi) |BK| / A^{3/2} * exp(-K^2/(2A))
+             * erf_integral(|BK| / sqrt(2A(AC-B^2)))
+
+    With at_reciprocal=True the values are per unit z and include the
+    1/z^2 Jacobian, with the powers of z kept in underflow-safe form and
+    the Gram determinant taken from the scaled triple itself.
+    """
+    K = abs(e.level)
+    A, B, C = m.A, m.B, m.C
+
+    if not at_reciprocal:
+        if m.scale_exponent != 0:
+            raise ValueError("scaled triple passed without at_reciprocal=True")
+        gram, expfac = _gram_and_expfactor(A, B, C, K, K * K * C)
+        F1 = math.sqrt(gram) / A * expfac / math.pi
+        if K == 0.0:
+            return IntegrandValue(F1=F1, F2=0.0)
+        erf_arg = math.inf if gram == 0.0 else abs(B) * K / math.sqrt(2.0 * A * gram)
+        F2 = (
+            math.sqrt(2.0) / math.pi * abs(B) * K / A**1.5
+            * math.exp(-K * K / (2.0 * A))
+            * erf_integral(erf_arg)
+        )
+        return IntegrandValue(F1=F1, F2=F2)
+
+    if z is None or z == 0.0:
+        raise ValueError("at_reciprocal form requires the transform point z != 0")
+    if m.scale_exponent != 2 * e.n:
+        raise ValueError("at_reciprocal form requires a scaled outer triple")
+    n = e.n
+    az = abs(z)
+    z2n = az ** (2 * n)
+    gram, expfac = _gram_and_expfactor(A, B, C, K, K * K * z2n * C)
+    F1 = math.sqrt(gram) / (az * A) * expfac / math.pi
+    if K == 0.0:
+        return IntegrandValue(F1=F1, F2=0.0)
+    zn = az**n
+    erf_arg = math.inf if gram == 0.0 else zn * abs(B) * K / math.sqrt(2.0 * A * gram)
+    F2 = (
+        math.sqrt(2.0) / math.pi * zn / az * abs(B) * K / A**1.5
+        * math.exp(-K * K * z2n / (2.0 * A))
+        * erf_integral(erf_arg)
+    )
+    return IntegrandValue(F1=F1, F2=F2)
 
 
 _CHUNK = 64  # points per batch of power rows

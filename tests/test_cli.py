@@ -152,6 +152,39 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert float(_rows(out)[0]["value"]) == pytest.approx(0.25, abs=1e-6)
 
 
+def test_explicit_tol_beats_config_tol(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": "50", "model": "geometric:0.5", "k": 1.0, "interval": "-1..1", "tol": 1e-3
+    }))
+    _, loose = _run(capsys, ["compute", "--config", str(cfg)])
+    code, out = _run(capsys, ["compute", "--config", str(cfg), "--tol", "1e-6"])
+    assert code == 0
+    assert float(_rows(loose)[0]["err"]) > 1e-6  # the config tol is in force without the flag
+    assert float(_rows(out)[0]["err"]) <= 1e-6
+
+
+def test_simulate_count_zero_is_rejected(capsys):
+    code = main(["simulate", "--n", "8", "--model", "independent", "--k", "0",
+                 "--count", "0", "--interval", "-1..1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "count" in captured.err
+
+
+def test_config_null_fields_take_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "n": "8", "model": "independent", "interval": "-1..1",
+        "count": None, "seed": None, "counter": None, "tol": None,
+    }))
+    _, with_nulls = _run(capsys, ["simulate", "--config", str(cfg)])
+    _, plain = _run(capsys, ["simulate", "--n", "8", "--model", "independent",
+                             "--interval", "-1..1", "--count", "1000", "--seed", "0"])
+    assert with_nulls == plain
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, _ = _run(capsys, ["compute", "--n", "1", "--model", "independent",

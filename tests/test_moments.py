@@ -1,4 +1,4 @@
-"""Tests for the moment functions A, B, C and the crossing-intensity integrand."""
+"""Tests for the moment functions A, B, C and the scalar crossing-intensity oracle."""
 
 import math
 
@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcross.moments import (
-    IntegrandValue,
     MomentTriple,
     PolynomialEnsemble,
     erf_integral,
-    integrand,
     moment_arrays,
     moments_direct,
     moments_outer_scaled,
@@ -26,6 +24,8 @@ from levelcross.spectrum import (
     geometric_density,
     independent_density,
 )
+
+from oracles import integrand
 
 
 def _ens(n, model=None, level=0.0):

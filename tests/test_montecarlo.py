@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcross.montecarlo import (
-    count_crossings_bisect,
+    count_crossings_bisect_batch,
     count_level_crossings,
     empirical_covariance,
     estimate_crossings,
@@ -92,9 +92,11 @@ def test_count_level_shift():
 
 def test_bisect_matches_companion_on_gaussian_samples():
     batch = sample_coefficients(CovarianceModel.geometric(0.5), 24, 400, seed=21)
-    for row in batch.coeffs:
-        for spec in (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf)):
-            assert count_level_crossings(row, 0.7, spec) == count_crossings_bisect(row, 0.7, spec)
+    for spec in (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf)):
+        counts = count_crossings_bisect_batch(batch.coeffs, 0.7, spec)
+        assert len(counts) == batch.count
+        for row, got in zip(batch.coeffs, counts):
+            assert count_level_crossings(row, 0.7, spec) == got
 
 
 def test_counters_match_sturm_oracle_small_batch():

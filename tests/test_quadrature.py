@@ -18,6 +18,8 @@ from levelcross.quadrature import (
 )
 from levelcross.spectrum import CovarianceModel
 
+from oracles import integrand
+
 
 def _ens(n, model=None, level=0.0):
     return PolynomialEnsemble(n=n, model=model or CovarianceModel.independent(), level=level)
@@ -146,7 +148,7 @@ def test_constant_model_rejected():
 
 
 def test_evaluator_batches_match_scalar_integrand():
-    from levelcross.moments import MomentTriple, integrand, moment_arrays
+    from levelcross.moments import MomentTriple, moment_arrays
 
     model = CovarianceModel.geometric(0.5)
     e = _ens(15, model, level=1.0)
@@ -161,10 +163,35 @@ def test_evaluator_batches_match_scalar_integrand():
         assert F2[i] == pytest.approx(v.F2, rel=1e-13)
 
 
+def test_evaluator_transformed_matches_scalar_integrand():
+    from levelcross.moments import MomentTriple, moment_arrays, scaled_outer_from_inner
+
+    model = CovarianceModel.geometric(0.5)
+    e = _ens(15, model, level=1.0)
+    zs = np.array([-0.9, -0.4, 0.05, 0.5, 0.8])
+    F1, F2 = KacRiceEvaluator(e).transformed(zs)
+    gamma = model.covariance(15).as_array(15)
+    for i, (A, B, C) in enumerate(zip(*moment_arrays(gamma, 15, zs))):
+        At, Bt, Ct = scaled_outer_from_inner(15, float(zs[i]), A, B, C)
+        v = integrand(e, MomentTriple(A=At, B=Bt, C=Ct, scale_exponent=30),
+                      at_reciprocal=True, z=float(zs[i]))
+        assert F1[i] == pytest.approx(v.F1, rel=1e-10)
+        assert F2[i] == pytest.approx(v.F2, rel=1e-10)
+
+
+def test_edge_clip_error_is_flagged(monkeypatch):
+    import levelcross.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "EDGE_CLIP", 1e-3)
+    est = expected_crossings(_ens(64), FULL_LINE)
+    assert est.abs_err > 1e-6
+    assert est.flagged
+
+
 def test_transformed_covers_outer_mass():
     # Outer tails via the z-transform must agree with brute quadrature on
     # a finite chunk of the tail evaluated in plain coordinates.
-    from levelcross.moments import moments_direct, integrand
+    from levelcross.moments import moments_direct
 
     model = CovarianceModel.geometric(0.5)
     e = _ens(8, model, level=1.0)

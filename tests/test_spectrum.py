@@ -119,11 +119,18 @@ def test_model_from_fourier_and_labels():
     assert CovarianceModel.independent().label == "independent"
 
 
-def test_model_from_config_roundtrip():
-    model = CovarianceModel.from_config({"model": "geometric", "rho": 0.25})
+def test_model_parse_roundtrip():
+    model = CovarianceModel.parse("geometric:0.25")
     np.testing.assert_allclose(model.covariance(2).as_array(2), [1.0, 0.25, 0.0625], rtol=1e-12)
-    with pytest.raises(ValueError):
-        CovarianceModel.from_config({"model": "nope"})
+    assert model.label == "geometric:0.25"
+    fourier = CovarianceModel.parse("custom_fourier:1,0.25")
+    np.testing.assert_allclose(fourier.covariance(2).as_array(2), [1.0, 0.25, 0.0], atol=1e-12)
+    for text in ("independent", "raised_cosine", "constant:0.5"):
+        assert CovarianceModel.parse(text).label == text
+    for bad in ("nope", "geometric", "geometric:", "geometric:abc", "constant", "independent:3",
+                "custom_fourier", "custom_fourier:0.5,0.1"):
+        with pytest.raises(ValueError):
+            CovarianceModel.parse(bad)
 
 
 def test_geometric_rho_range():
