@@ -218,11 +218,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(value) -> int:
+    """int(value), refusing to truncate a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _typed(key, convert, value):
+    """convert(value), None kept; a wrong JSON type or a bad value names its field."""
+    if value is None:
+        return None
+    if isinstance(value, (bool, list, dict)):
+        raise ValueError(f"{key}: expected a number or a string, got {json.dumps(value)}")
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _load_config(args) -> RunConfig:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config: expected a JSON object, got {type(file_cfg).__name__}")
 
     def pick(flag_value, key, default=None):
         """The flag if given, else the config field if set, else the default."""
@@ -241,23 +262,22 @@ def _load_config(args) -> RunConfig:
     if intervals_raw is None:
         # compare defaults to the inner/outer split, everything else to the line
         intervals_raw = ["-1..1", "1..inf"] if args.command == "compare" else ["-inf..inf"]
-    if isinstance(intervals_raw, str):
+    if not isinstance(intervals_raw, list):
         intervals_raw = [intervals_raw]
-    level = pick(args.k, "k", 0.0)
 
     return RunConfig(
         command=args.command,
-        n_list=_parse_n_spec(str(n_text)),
-        level=float(level),
-        k_rule_text=pick(getattr(args, "k_rule", None), "k_rule"),
-        model_text=str(model_text),
-        intervals=[IntervalSpec.parse(str(t)) for t in intervals_raw],
-        tol=float(pick(args.tol, "tol", 1e-6)),
-        count=int(pick(getattr(args, "count", None), "count", 1000)),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
-        counter=str(pick(getattr(args, "counter", None), "counter", "auto")),
+        n_list=_typed("n", lambda v: _parse_n_spec(str(v)), n_text),
+        level=_typed("k", float, pick(args.k, "k", 0.0)),
+        k_rule_text=_typed("k_rule", str, pick(getattr(args, "k_rule", None), "k_rule")),
+        model_text=_typed("model", str, model_text),
+        intervals=[_typed("intervals", lambda v: IntervalSpec.parse(str(v)), t) for t in intervals_raw],
+        tol=_typed("tol", float, pick(args.tol, "tol", 1e-6)),
+        count=_typed("count", _integer, pick(getattr(args, "count", None), "count", 1000)),
+        seed=_typed("seed", _integer, pick(getattr(args, "seed", None), "seed", 0)),
+        counter=_typed("counter", str, pick(getattr(args, "counter", None), "counter", "auto")),
         fmt=args.format,
-        output=pick(args.output, "output"),
+        output=_typed("output", str, pick(args.output, "output")),
     )
 
 

@@ -12,13 +12,20 @@ Two counters are provided:
   thresholding, guarded Newton refinement, and de-duplication.  Exact
   (matches a rational Sturm oracle on small-degree polynomials) but
   O(n^3) per sample.
-* count_crossings_bisect_batch: certified sign-change bisection with
-  interval derivative bounds, run on the whole sample batch at once,
-  O(n) per evaluation.  Counts sign crossings, which for Gaussian samples
-  equals the distinct-root count almost surely (tangencies have
-  probability zero).  Used by the estimator at large degree for speed;
-  the two counters are cross-checked in the tests.  A single polynomial
-  is a batch of one row.
+* count_crossings_bisect_batch: certified sign-change bisection, run on
+  the whole sample batch at once, O(n) per evaluation.  One fused Horner
+  pass per live interval [a, b] (midpoint m, half-width h) gives P(m),
+  P'(m) and the majorants S0, S1, S2 of |P|, |P'|, |P''| on
+  [-r, r], r = max(|a|, |b|).  Three certificates retire intervals: no
+  root when |P(m)| beats the second-order Taylor bound over [a, b];
+  at most one root when |P'(m)| > S2 h, which then counts the sign change
+  P(a), P(b); and, on each half after a split, no root when an endpoint
+  value exceeds S1 times the width.  A half narrower than 1e-12 (1 + |b|)
+  counts its sign change, so tangencies and root pairs closer than that
+  count as sign crossings.  For Gaussian samples this equals the
+  distinct-root count almost surely.  Used by the estimator at large
+  degree for speed; the two counters are cross-checked in the tests.  A
+  single polynomial is a batch of one row.
 """
 
 from __future__ import annotations
@@ -229,86 +236,130 @@ def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE
 # ---------------------------------------------------------------------------
 
 
-def _heval_rows(desc: np.ndarray, si: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner evaluation of row si's descending coefficients at x[i]."""
-    acc = desc[si, 0].astype(float)
-    for j in range(1, desc.shape[1]):
-        acc = acc * x + desc[si, j]
-    return acc
+_CHUNK_BYTES = 2 << 20   # per chunk: gathered coefficients beside their absolute values
 
 
-def _batch_sign_crossings(desc: np.ndarray, lo: float, hi: float, htol: float = 1e-12) -> np.ndarray:
-    """Per-row sign crossings on (lo, hi) by certified bisection.
+def _fused_pass(table: np.ndarray, col: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One Horner pass per point: rows P(x), P'(x), S0(r), S1(r), S2(r).
 
-    desc holds one polynomial per row, descending coefficients.  An
-    interval is discarded once an endpoint value exceeds the interval
-    derivative bound times its width (no root possible); unresolved
-    intervals below the width tolerance contribute their sign change.
+    table holds one polynomial per column, descending coefficients.  P(x)
+    uses the plain Horner order acc*x + c and P'(x) the derivative
+    recurrence; S0, S1 and S2 are the majorants sum |a_k| r^k,
+    sum k|a_k| r^(k-1) and sum k(k-1)|a_k| r^(k-2), which bound |P|, |P'|
+    and |P''| on [-r, r].  The two sides run stacked, the coefficients
+    beside their absolute values and x beside r, in chunks whose gathered
+    coefficients take about _CHUNK_BYTES.
     """
-    m, d = desc.shape
-    counts = np.zeros(m, dtype=np.int64)
-    if not lo < hi or d < 2:
-        return counts
-    asc = desc[:, ::-1]
-    dabs_desc = (np.abs(asc[:, 1:]) * np.arange(1, d))[:, ::-1]
+    d = table.shape[0]
+    chunk = max(1, min(len(col), _CHUNK_BYTES // (16 * d)))
+    coef = np.empty((d, 2, chunk))
+    out = np.empty((5, len(col)))
+    for s in range(0, len(col), chunk):
+        k = min(chunk, len(col) - s)
+        g = coef[:, :, :k]
+        # mode="clip" lets take write into the strided view unbuffered
+        np.take(table, col[s : s + k], axis=1, out=g[:, 0], mode="clip")
+        np.abs(g[:, 0], out=g[:, 1])
+        xr = np.stack([x[s : s + k], r[s : s + k]])
+        acc0, acc1, acc2 = g[0].copy(), np.zeros_like(xr), np.zeros_like(xr)
+        for j in range(1, d):
+            acc2 *= xr
+            acc2 += acc1
+            acc1 *= xr
+            acc1 += acc0
+            acc0 *= xr
+            acc0 += g[j]
+        out[:, s : s + k] = acc0[0], acc1[0], acc0[1], acc1[1], 2.0 * acc2[1]
+    return out
 
-    si = np.arange(m)
-    a = np.full(m, lo)
-    b = np.full(m, hi)
-    fa = _heval_rows(desc, si, a)
-    fb = _heval_rows(desc, si, b)
+
+def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          htol: float = 1e-12) -> np.ndarray:
+    """Sign crossings of polynomial col[i] on (lo[i], hi[i]), by certified bisection.
+
+    table holds one polynomial per column, descending coefficients, with
+    |lo|, |hi| <= 1; returns the counts summed per column.  Each live
+    interval [a, b], with midpoint m, half-width h and r = max(|a|, |b|),
+    gets one fused evaluation, and with the Horner slack delta = 4 d eps:
+
+    * no root if |P(m)| - delta S0 > (|P'(m)| + delta S1) h + S2 h^2 / 2;
+    * at most one root if |P'(m)| - delta S1 > S2 h, which then counts
+      the endpoint sign change;
+    * otherwise it splits, and a half is dropped when an endpoint value
+      exceeds S1 times its width (no root), or counts its sign change
+      once its width falls below htol (1 + |b|).
+    """
+    d = table.shape[0]
+    counts = np.zeros(table.shape[1], dtype=np.int64)
+    if d < 2:
+        return counts
+    live = lo < hi
+    col, a, b = col[live], lo[live], hi[live]
+    fa = _fused_pass(table, col, a, np.abs(a))[0]
+    fb = _fused_pass(table, col, b, np.abs(b))[0]
+    delta = 4.0 * d * np.finfo(float).eps
     for _ in range(80):
         if len(a) == 0:
             break
         mid = 0.5 * (a + b)
-        fm = _heval_rows(desc, si, mid)
-        r = np.maximum(np.abs(a), np.abs(b))
-        bound = _heval_rows(dabs_desc, si, r)
+        h = 0.5 * (b - a)
+        fm, dfm, s0, s1, s2 = _fused_pass(table, col, mid, np.maximum(np.abs(a), np.abs(b)))
+        no_root = np.abs(fm) - delta * s0 > (np.abs(dfm) + delta * s1) * h + 0.5 * s2 * h * h
+        monotone = ~no_root & (np.abs(dfm) - delta * s1 > s2 * h)
+        np.add.at(counts, col[monotone & ((fa > 0) != (fb > 0))], 1)
+        split = ~(no_root | monotone)
+        a, b, mid, fa, fb, fm, s1, col = (
+            v[split] for v in (a, b, mid, fa, fb, fm, s1, col))
 
-        na, nb, nfa, nfb, nsi = [], [], [], [], []
+        na, nb, nfa, nfb, ncol = [], [], [], [], []
         for (u, v, fu, fv) in ((a, mid, fa, fm), (mid, b, fm, fb)):
             width = v - u
-            certified = np.maximum(np.abs(fu), np.abs(fv)) > bound * width
+            certified = np.maximum(np.abs(fu), np.abs(fv)) > s1 * width
             tiny = width <= htol * (1.0 + np.abs(v))
             crossing = tiny & ~certified & ((fu > 0) != (fv > 0))
-            np.add.at(counts, si[crossing], 1)
+            np.add.at(counts, col[crossing], 1)
             keep = ~(certified | tiny)
             na.append(u[keep])
             nb.append(v[keep])
             nfa.append(fu[keep])
             nfb.append(fv[keep])
-            nsi.append(si[keep])
+            ncol.append(col[keep])
         a = np.concatenate(na)
         b = np.concatenate(nb)
         fa = np.concatenate(nfa)
         fb = np.concatenate(nfb)
-        si = np.concatenate(nsi)
+        col = np.concatenate(ncol)
     return counts
 
 
 def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> np.ndarray:
     """Sign crossings of P(x) - K in spec, one count per row of coeffs.
 
-    |x| > 1 is handled through the reversed polynomial at z = 1/x.
+    |x| > 1 is handled through the reversed polynomial at z = 1/x; the
+    three pieces of the line run as one bisection.
     """
-    c = np.asarray(coeffs, dtype=float).copy()
-    c[:, 0] -= K
-    desc = c[:, ::-1]
-    total = np.zeros(c.shape[0], dtype=np.int64)
-    ilo = max(spec.lo, -1.0)
-    ihi = min(spec.hi, 1.0)
-    if ilo < ihi:
-        total += _batch_sign_crossings(desc, ilo, ihi)
-    # reversed polynomial: its descending form is the ascending original
+    c = np.asarray(coeffs, dtype=float)
+    m, d = c.shape
+    rows = np.arange(m)
+    # columns 0..m-1: descending coefficients; m..2m-1: the reversed
+    # polynomial, whose descending form is the ascending original
+    table = np.empty((d, 2 * m))
+    table[:, :m] = c[:, ::-1].T
+    table[:, m:] = c.T
+    table[-1, :m] -= K
+    table[0, m:] -= K
+    pieces = [(rows, max(spec.lo, -1.0), min(spec.hi, 1.0))]
     if spec.hi > 1.0:
         zlo = 0.0 if math.isinf(spec.hi) else 1.0 / spec.hi
-        zhi = 1.0 / max(spec.lo, 1.0)
-        total += _batch_sign_crossings(c, zlo, zhi)
+        pieces.append((rows + m, zlo, 1.0 / max(spec.lo, 1.0)))
     if spec.lo < -1.0:
-        zlo = 1.0 / min(spec.hi, -1.0)
         zhi = 0.0 if math.isinf(spec.lo) else 1.0 / spec.lo
-        total += _batch_sign_crossings(c, zlo, zhi)
-    return total
+        pieces.append((rows + m, 1.0 / min(spec.hi, -1.0), zhi))
+    col = np.concatenate([p[0] for p in pieces])
+    lo = np.concatenate([np.full(m, p[1]) for p in pieces])
+    hi = np.concatenate([np.full(m, p[2]) for p in pieces])
+    counts = _batch_sign_crossings(table, col, lo, hi)
+    return counts[:m] + counts[m:]
 
 
 # ---------------------------------------------------------------------------

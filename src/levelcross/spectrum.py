@@ -205,9 +205,13 @@ def density_from_covariance(
     """Partial Fourier sum f(phi) = (1/2pi) * sum_k Gamma(k) exp(i k phi).
 
     The result is a trigonometric polynomial (C1).  Raises if the sum is
-    not strictly positive on the check grid.
+    not strictly positive on the check grid, or if a lag is not finite.
     """
     g = np.asarray(gamma.gamma, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if len(bad):
+        named = ", ".join(f"Gamma({k}) = {g[k]}" for k in bad)
+        raise ValueError(f"covariance lags must be finite, got {named}")
     coeffs = g[1:]
 
     def evaluate(phi, g0=g[0], coeffs=coeffs):

@@ -185,6 +185,38 @@ def test_config_null_fields_take_defaults(tmp_path, capsys):
     assert with_nulls == plain
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"count": [1]}, "count"),
+    ({"seed": {"a": 1}}, "seed"),
+    ({"k": [0.5]}, "k"),
+    ({"tol": True}, "tol"),
+    ({"count": "many"}, "count"),
+    ({"seed": 1.7}, "seed"),
+    ({"intervals": [[-1, 1]]}, "intervals"),
+])
+def test_config_field_of_wrong_type_is_reported(tmp_path, capsys, fields, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", **fields}))
+    code = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_config_that_is_not_an_object_is_reported(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[1]")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
+def test_non_finite_covariance_lag_is_reported(capsys):
+    code = main(["compute", "--n", "8", "--model", "custom_fourier:1,nan"])
+    assert code == 2
+    assert "Gamma(1) = nan" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, _ = _run(capsys, ["compute", "--n", "1", "--model", "independent",

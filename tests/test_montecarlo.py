@@ -99,6 +99,43 @@ def test_bisect_matches_companion_on_gaussian_samples():
             assert count_level_crossings(row, 0.7, spec) == got
 
 
+def _from_roots(*roots):
+    """Ascending real coefficients of prod (x - r); complex roots come in pairs."""
+    return np.real(np.poly(roots))[::-1].copy()
+
+
+EDGE_SPECS = (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf),
+              IntervalSpec(-2.0, 3.0), IntervalSpec(-math.inf, -0.5))
+
+
+# Real roots are non-dyadic, so none lands on a bisection midpoint.
+@pytest.mark.parametrize("real_roots, other_roots", [
+    ((0.3, 0.30001, -0.45), (0.2 + 0.9j, 0.2 - 0.9j)),   # a pair 1e-5 apart
+    ((0.999, -0.37), (0.6 + 0.1j, 0.6 - 0.1j)),          # a root beside the +-1 seam
+    ((1.7, 0.13, -0.71), (-3.1 + 1j, -3.1 - 1j)),        # a root beyond 1
+    ((-0.61, 1.3), ()),                                 # degree 2: P'' is constant
+    ((-2.3,), ()),                                      # degree 1: P'' is zero
+    ((0.41,), ()),
+])
+def test_bisect_counts_deterministic_roots(real_roots, other_roots):
+    coeffs = _from_roots(*real_roots, *other_roots)
+    for spec in EDGE_SPECS:
+        expect = sum(spec.lo <= r < spec.hi for r in real_roots)
+        (got,) = count_crossings_bisect_batch(coeffs[None, :], 0.0, spec)
+        assert got == expect, f"roots {real_roots} on {spec}"
+        assert count_level_crossings(coeffs, 0.0, spec) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 64])
+def test_bisect_matches_companion_sweep(n):
+    batch = sample_coefficients(CovarianceModel.geometric(0.5), n, 150, seed=100 + n)
+    for K in (0.0, 0.7, 3.0):
+        for spec in EDGE_SPECS:
+            counts = count_crossings_bisect_batch(batch.coeffs, K, spec)
+            expect = [count_level_crossings(row, K, spec) for row in batch.coeffs]
+            assert counts.tolist() == expect, f"n = {n}, K = {K}, {spec}"
+
+
 def test_counters_match_sturm_oracle_small_batch():
     rng = np.random.default_rng(77)
     checked = 0

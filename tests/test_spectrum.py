@@ -1,6 +1,7 @@
 """Tests for spectral densities, covariance sequences, and models."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_density_from_covariance_rejects_nonpositive():
     # 1 + 2*0.6*cos(phi) dips below zero near phi = pi.
     with pytest.raises(ValueError):
         density_from_covariance(CovarianceSequence((1.0, 0.6)))
+
+
+@pytest.mark.parametrize("lags, named", [
+    ((1.0, math.nan), "Gamma(1) = nan"),
+    ((1.0, 0.2, math.inf, -math.inf), "Gamma(2) = inf, Gamma(3) = -inf"),
+])
+def test_density_from_covariance_rejects_nonfinite_lags(lags, named):
+    # NaN compares False with 0, so the positivity check alone lets it through
+    with pytest.raises(ValueError, match=re.escape(f"must be finite, got {named}") + "$"):
+        density_from_covariance(CovarianceSequence(lags))
 
 
 def test_positivity_bounds_flat():
