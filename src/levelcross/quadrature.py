@@ -11,6 +11,7 @@ is finite on the whole z-range including z -> 0.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,46 +181,36 @@ def _gk15(fun, a: float, b: float, transformed: bool):
     return h * float(_WGK @ f1v), h * float(_WGK @ f2v), abs(k15 - g7)
 
 
-def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192):
-    """Global adaptive refinement over initial segments.
+def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192) -> list:
+    """Global adaptive refinement over initial segments (a, b, transformed).
 
-    segments: iterable of (a, b, transformed).  Returns (pieces, flagged).
+    One heap of (-err, order, Piece), ties broken by insertion order, and a
+    running error sum: the worst panel is bisected until the sum is <= tol,
+    max_panels is reached, or the worst panel cannot be bisected in floating
+    point.  Returns the pieces; the caller flags a sum left above tol.
     """
-    panels: dict[int, Piece] = {}
     heap: list = []
-    counter = 0
-    for (a, b, transformed) in segments:
-        if not a < b:
-            continue
+    order = itertools.count()
+    total = 0.0
+
+    def push(a, b, transformed):
+        nonlocal total
         f1, f2, err = _gk15(fun, a, b, transformed)
-        panels[counter] = Piece(a, b, f1, f2, err, transformed)
-        heapq.heappush(heap, (-err, counter))
-        counter += 1
+        heapq.heappush(heap, (-err, next(order), Piece(a, b, f1, f2, err, transformed)))
+        total += err
 
-    def total_err():
-        return sum(p.err for p in panels.values())
-
-    flagged = False
-    while heap and total_err() > tol:
-        if len(panels) >= max_panels:
-            flagged = True
-            break
-        neg_err, idx = heapq.heappop(heap)
-        if idx not in panels or panels[idx].err != -neg_err:
-            continue  # stale heap entry
-        worst = panels.pop(idx)
+    for segment in segments:
+        push(*segment)
+    while total > tol and len(heap) < max_panels:
+        worst = heap[0][2]
         mid = 0.5 * (worst.lo + worst.hi)
-        if mid <= worst.lo or mid >= worst.hi:
-            # cannot bisect further in floating point; keep as-is
-            panels[idx] = worst
-            flagged = flagged or worst.err > tol
+        if not worst.lo < mid < worst.hi:
             break
-        for (a, b) in ((worst.lo, mid), (mid, worst.hi)):
-            f1, f2, err = _gk15(fun, a, b, worst.transformed)
-            panels[counter] = Piece(a, b, f1, f2, err, worst.transformed)
-            heapq.heappush(heap, (-err, counter))
-            counter += 1
-    return list(panels.values()), flagged
+        heapq.heappop(heap)
+        total -= worst.err
+        push(worst.lo, mid, worst.transformed)
+        push(mid, worst.hi, worst.transformed)
+    return [piece for (_, _, piece) in heap]
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +273,13 @@ def expected_crossings(
             if min(spec.hi, -1.0) >= -1.0:
                 tail_err += 2.0 * EDGE_CLIP * float(fun.transformed(np.array([-1.0 + EDGE_CLIP]))[0][0])
 
-    pieces, flagged = _adaptive_panels(fun, segments, tol)
+    pieces = _adaptive_panels(fun, segments, tol)
     pieces.sort(key=lambda p: (p.transformed, p.lo))
     value = sum(p.f1 + p.f2 for p in pieces)
     abs_err = sum(p.err for p in pieces) + tail_err
-    # the panel loop stops at tol, but the clipped edges can still push
-    # the total past it: such an estimate is not trustworthy
+    # the clipped edges can push the total past tol: such an estimate is not trustworthy
     return CrossingEstimate(value=value, abs_err=abs_err, pieces=tuple(pieces),
-                            flagged=flagged or abs_err > tol)
+                            flagged=abs_err > tol)
 
 
 # ---------------------------------------------------------------------------
