@@ -252,9 +252,60 @@ def test_n_spec_comma_list(capsys):
     assert [r["n"] for r in _rows(out)] == ["4", "8"]
 
 
+def _golden_table(text):
+    """Rows of a golden output as dicts: the JSON 'rows' or the CSV lines."""
+    return json.loads(text)["rows"] if text.startswith("{") else _rows(text)
+
+
+def _number(v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def _regen_report(old: str, new: str) -> list:
+    """What a rewrite of one golden file changes, as printable lines.
+
+    The largest |delta| in each numeric column, every row whose |delta value|
+    exceeds its old err, every row whose flagged changed, any other changed
+    cell, and every changed comment line.
+    """
+    old_rows, new_rows = _golden_table(old), _golden_table(new)
+    if len(old_rows) != len(new_rows) or any(o.keys() != w.keys() for o, w in zip(old_rows, new_rows)):
+        return [f"  row count or columns changed: {len(old_rows)} -> {len(new_rows)} rows"]
+    lines, largest = [], {}
+    for i, (o, w) in enumerate(zip(old_rows, new_rows)):
+        row = f"  row {i} (n={o['n']} {o['interval_lo']}..{o['interval_hi']}):"
+        for col in o:
+            a, b = _number(o[col]), _number(w[col])
+            if col != "flagged" and a is not None and b is not None:
+                largest[col] = max(largest.get(col, 0.0), 0.0 if a == b else abs(b - a))
+            elif o[col] != w[col]:
+                lines.append(f"{row} {col} {o[col]} -> {w[col]}")
+        dvalue = abs(float(w["value"]) - float(o["value"]))
+        if dvalue > float(o["err"]):
+            lines.append(f"{row} |delta value| {dvalue:.3g} > old err {float(o['err']):.3g}")
+    comments = [[l for l in text.splitlines() if l.startswith("#")] for text in (old, new)]
+    for a, b in zip(*comments):
+        if a != b:
+            lines += [f"  comment: {a}", f"       ->  {b}"]
+    numeric = ", ".join(f"{col} {d:.3g}" for col, d in largest.items())
+    return [f"  max |delta|: {numeric}"] + lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python tests/test_cli.py --regen  (rewrites tests/golden/)")
+        sys.exit("usage: python tests/test_cli.py --regen  (rewrites tests/golden/ and reports the changes)")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(GOLDEN.items()):
-        (GOLDEN_DIR / f"{name}.txt").write_bytes(_golden_stdout(argv))
+        path = GOLDEN_DIR / f"{name}.txt"
+        new = _golden_stdout(argv)
+        old = path.read_bytes() if path.exists() else None
+        if new == old:
+            print(f"{name}: unchanged")
+            continue
+        path.write_bytes(new)
+        print(f"{name}: rewritten")
+        if old is not None:
+            print("\n".join(_regen_report(old.decode(), new.decode())))
