@@ -335,12 +335,12 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
 def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> np.ndarray:
     """Sign crossings of P(x) - K in spec, one count per row of coeffs.
 
-    |x| > 1 is handled through the reversed polynomial at z = 1/x; the
-    three pieces of the line run as one bisection.
+    The parts of spec.parts() run as one bisection: the part in [-1, 1] on
+    P itself, and each part beyond +-1 on the reversed polynomial
+    z^n P(1/z), over its z = 1/x range.
     """
     c = np.asarray(coeffs, dtype=float)
     m, d = c.shape
-    rows = np.arange(m)
     # columns 0..m-1: descending coefficients; m..2m-1: the reversed
     # polynomial, whose descending form is the ascending original
     table = np.empty((d, 2 * m))
@@ -348,16 +348,10 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: Inter
     table[:, m:] = c.T
     table[-1, :m] -= K
     table[0, m:] -= K
-    pieces = [(rows, max(spec.lo, -1.0), min(spec.hi, 1.0))]
-    if spec.hi > 1.0:
-        zlo = 0.0 if math.isinf(spec.hi) else 1.0 / spec.hi
-        pieces.append((rows + m, zlo, 1.0 / max(spec.lo, 1.0)))
-    if spec.lo < -1.0:
-        zhi = 0.0 if math.isinf(spec.lo) else 1.0 / spec.lo
-        pieces.append((rows + m, 1.0 / min(spec.hi, -1.0), zhi))
-    col = np.concatenate([p[0] for p in pieces])
-    lo = np.concatenate([np.full(m, p[1]) for p in pieces])
-    hi = np.concatenate([np.full(m, p[2]) for p in pieces])
+    # one row (lo, hi, transformed) per part, m intervals each
+    parts = np.array(spec.parts(), dtype=float).reshape(-1, 3)
+    lo, hi, transformed = (np.repeat(v, m) for v in parts.T)
+    col = np.tile(np.arange(m), len(parts)) + m * transformed.astype(np.int64)
     counts = _batch_sign_crossings(table, col, lo, hi)
     return counts[:m] + counts[m:]
 
@@ -413,9 +407,3 @@ def estimate_crossings(
         method="monte_carlo/bisect" if use_bisect else "monte_carlo/companion",
     )
 
-
-def write_counts_csv(est: MCEstimate, fileobj) -> None:
-    """Raw per-sample counts as 'sample_index,count' rows (rejected = -1)."""
-    fileobj.write("sample_index,count\n")
-    for i, v in enumerate(est.counts):
-        fileobj.write(f"{i},{v}\n")

@@ -1,11 +1,14 @@
 """Expected number of level crossings by adaptive Gauss-Kronrod quadrature.
 
-E[N_K(a,b)] is the integral of F1 + F2 over (a,b).  The interval is split
-at the analysis breakpoints +-(1 - 1/log n) and +-(1 - log log n / n),
-integrated adaptively on (-1,1), and the unbounded parts are mapped by
-x = 1/z onto z in (-1,0) or (0,1) with the 1/z^2 Jacobian and scaled
-moments (see moments.scaled_outer_from_inner); the transformed integrand
-is finite on the whole z-range including z -> 0.
+E[N_K(a,b)] is the integral of F1 + F2 over (a,b).  IntervalSpec.parts
+splits the interval into its part in [-1, 1], integrated in x, and its
+parts beyond +-1, integrated in z = 1/x over [-1, 0) or (0, 1] with the
+1/z^2 Jacobian and scaled moments (see moments.scaled_outer_from_inner).
+Every part runs up to +-1 exactly: both integrands are finite on their
+whole range, z -> 0 included, and the Gauss-Kronrod nodes never touch a
+panel's endpoints.  The parts are further split at 0 and at the analysis
+breakpoints +-(1 - 1/log n) and +-(1 - log log n / n), then refined
+adaptively.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import numpy as np
 from .asymptotics import interval_prediction
 from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
 from .spectrum import covariance_from_density
-
-EDGE_CLIP = 1e-12  # integration stops this far from |x| = 1 (and |z| = 1)
 
 __all__ = [
     "IntervalSpec",
@@ -43,8 +44,25 @@ class IntervalSpec:
     hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
         if not self.lo < self.hi:
             raise ValueError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
+
+    def parts(self) -> list[tuple[float, float, bool]]:
+        """The nonempty (lo, hi, transformed) parts of the interval.
+
+        The part in [-1, 1] is given in x (transformed False); each part
+        beyond +-1 is given in z = 1/x (transformed True), so x > 1 maps into
+        (0, 1] and x < -1 into [-1, 0), with 1/inf = 0.
+        """
+        lo, hi = self.lo, self.hi
+        parts = [(max(lo, -1.0), min(hi, 1.0), False)]
+        if hi > 1.0:
+            parts.append((1.0 / hi, 1.0 / max(lo, 1.0), True))
+        if lo < -1.0:
+            parts.append((1.0 / min(hi, -1.0), 1.0 / lo, True))
+        return [p for p in parts if p[0] < p[1]]
 
     @staticmethod
     def parse(text: str) -> "IntervalSpec":
@@ -239,45 +257,13 @@ def expected_crossings(
     """E[N_K(spec)] for a density model, with error estimate <= tol on success."""
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    fun = KacRiceEvaluator(e)
     knots = _symmetric_knots(e.n)
-
-    segments = []
-    tail_err = 0.0
-
-    # inner part: spec intersected with (-1, 1), clipped by EDGE_CLIP
-    ilo = max(spec.lo, -1.0 + EDGE_CLIP)
-    ihi = min(spec.hi, 1.0 - EDGE_CLIP)
-    if ilo < ihi:
-        segments += [(a, b, False) for (a, b) in _with_knots(ilo, ihi, knots)]
-        if spec.hi >= 1.0:
-            tail_err += 2.0 * EDGE_CLIP * float(fun.inner(np.array([1.0 - EDGE_CLIP]))[0][0])
-        if spec.lo <= -1.0:
-            tail_err += 2.0 * EDGE_CLIP * float(fun.inner(np.array([-1.0 + EDGE_CLIP]))[0][0])
-
-    # right tail x in (max(lo,1), hi) -> z in (1/hi, 1/max(lo,1))
-    if spec.hi > 1.0:
-        zlo = 0.0 if math.isinf(spec.hi) else 1.0 / spec.hi
-        zhi = min(1.0 / max(spec.lo, 1.0), 1.0 - EDGE_CLIP)
-        if zlo < zhi:
-            segments += [(a, b, True) for (a, b) in _with_knots(zlo, zhi, knots)]
-            if max(spec.lo, 1.0) <= 1.0:
-                tail_err += 2.0 * EDGE_CLIP * float(fun.transformed(np.array([1.0 - EDGE_CLIP]))[0][0])
-
-    # left tail x in (lo, min(hi,-1)) -> z in (1/min(hi,-1), 1/lo)
-    if spec.lo < -1.0:
-        zlo = max(1.0 / min(spec.hi, -1.0), -1.0 + EDGE_CLIP)
-        zhi = 0.0 if math.isinf(spec.lo) else 1.0 / spec.lo
-        if zlo < zhi:
-            segments += [(a, b, True) for (a, b) in _with_knots(zlo, zhi, knots)]
-            if min(spec.hi, -1.0) >= -1.0:
-                tail_err += 2.0 * EDGE_CLIP * float(fun.transformed(np.array([-1.0 + EDGE_CLIP]))[0][0])
-
-    pieces = _adaptive_panels(fun, segments, tol)
+    segments = [(a, b, transformed) for (lo, hi, transformed) in spec.parts()
+                for (a, b) in _with_knots(lo, hi, knots)]
+    pieces = _adaptive_panels(KacRiceEvaluator(e), segments, tol)
     pieces.sort(key=lambda p: (p.transformed, p.lo))
     value = sum(p.f1 + p.f2 for p in pieces)
-    abs_err = sum(p.err for p in pieces) + tail_err
-    # the clipped edges can push the total past tol: such an estimate is not trustworthy
+    abs_err = sum(p.err for p in pieces)
     return CrossingEstimate(value=value, abs_err=abs_err, pieces=tuple(pieces),
                             flagged=abs_err > tol)
 

@@ -1,6 +1,5 @@
 """Tests for coefficient sampling and Monte Carlo crossing counts."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from levelcross.montecarlo import (
     empirical_covariance,
     estimate_crossings,
     sample_coefficients,
-    write_counts_csv,
 )
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
@@ -97,6 +95,21 @@ def test_bisect_matches_companion_on_gaussian_samples():
         assert len(counts) == batch.count
         for row, got in zip(batch.coeffs, counts):
             assert count_level_crossings(row, 0.7, spec) == got
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 1), (-2, 3)])
+def test_bisect_accepts_int_bounds(lo, hi):
+    batch = sample_coefficients(CovarianceModel.geometric(0.5), 12, 100, seed=4)
+    spec = IntervalSpec(lo, hi)
+    counts = count_crossings_bisect_batch(batch.coeffs, 0.3, spec)
+    assert counts.tolist() == [count_level_crossings(row, 0.3, spec) for row in batch.coeffs]
+
+
+def test_interval_with_no_parts_has_no_crossings():
+    spec = IntervalSpec(1e308, 1.0000000000000002e308)  # 1/lo == 1/hi
+    batch = sample_coefficients(CovarianceModel.independent(), 6, 5, seed=1)
+    assert count_crossings_bisect_batch(batch.coeffs, 0.0, spec).tolist() == [0] * 5
+    assert expected_crossings(_ens(6), spec).value == 0.0
 
 
 def _from_roots(*roots):
@@ -203,11 +216,3 @@ def test_constant_model_estimates():
     assert est.mean > 0
     assert est.count == 400
 
-
-def test_write_counts_csv():
-    est = estimate_crossings(_ens(4), FULL_LINE, count=120, seed=2)
-    buf = io.StringIO()
-    write_counts_csv(est, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 121  # header + one row per sample
-    assert lines[0].startswith("sample")

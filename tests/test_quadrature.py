@@ -179,13 +179,46 @@ def test_evaluator_transformed_matches_scalar_integrand():
         assert F2[i] == pytest.approx(v.F2, rel=1e-10)
 
 
-def test_edge_clip_error_is_flagged(monkeypatch):
-    import levelcross.quadrature as quadrature
+@pytest.mark.parametrize("model, text, exact", [
+    ("independent", "-inf..inf", 1.0),
+    ("independent", "-1..1", 0.5),
+    ("independent", "1..inf", 0.25),
+    ("independent", "-inf..-1", 0.25),
+    ("geometric:0.5", "-inf..inf", 1.0),
+    ("geometric:0.5", "-1..1", 0.5),
+])
+def test_linear_exact_up_to_the_edge(model, text, exact):
+    # The one root -X0/X1 is real; for exchangeable (X0, X1) it lies in
+    # (-1, 1) with probability 1/2, and for independent ones it is
+    # Cauchy, so each side of +-1 holds 1/4.  Every part ends at +-1, so
+    # no mass near the edge is lost.
+    est = expected_crossings(_ens(1, CovarianceModel.parse(model)), IntervalSpec.parse(text))
+    assert abs(est.value - exact) <= 1e-14
+    assert not est.flagged
 
-    monkeypatch.setattr(quadrature, "EDGE_CLIP", 1e-3)
-    est = expected_crossings(_ens(64), FULL_LINE)
-    assert est.abs_err > 1e-6
-    assert est.flagged
+
+def test_interval_parts():
+    third = 1.0 / 3.0
+    cases = {
+        "-inf..inf": [(-1.0, 1.0, False), (0.0, 1.0, True), (-1.0, 0.0, True)],
+        "-1..1": [(-1.0, 1.0, False)],
+        "1..inf": [(0.0, 1.0, True)],
+        "-inf..-1": [(-1.0, 0.0, True)],
+        "-2..3": [(-1.0, 1.0, False), (third, 1.0, True), (-1.0, -0.5, True)],
+        "2..3": [(third, 0.5, True)],
+        "-3..-2": [(-0.5, -third, True)],
+        "0.2..0.7": [(0.2, 0.7, False)],
+    }
+    for text, parts in cases.items():
+        assert IntervalSpec.parse(text).parts() == parts, text
+    # 1/lo and 1/hi round to the same subnormal: nothing is left
+    assert IntervalSpec(1e308, 1.0000000000000002e308).parts() == []
+
+
+def test_interval_bounds_are_floats():
+    spec = IntervalSpec(-1, 1)
+    assert spec == IntervalSpec(-1.0, 1.0)
+    assert type(spec.lo) is float and type(spec.hi) is float
 
 
 def test_transformed_covers_outer_mass():
