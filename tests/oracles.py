@@ -2,8 +2,9 @@
 
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
-the scalar Kac-Rice integrand at one point, and the exact Kac-Rice mean for
-constant covariance from its closed-form moments.
+the scalar Kac-Rice integrand at one point, the exact Kac-Rice mean for
+constant covariance from its closed-form moments, and the Edelman-Kostlan
+density of real roots for independent coefficients in mpmath.
 """
 
 import math
@@ -230,3 +231,22 @@ def constant_covariance_crossings(n, rho):
     wts = np.concatenate([wts, wts])
     A, _, _, D = constant_covariance_moments(n, rho, x)
     return 2.0 * float(np.sum(wts * np.sqrt(D) / (math.pi * A)))
+
+
+def edelman_kostlan_density(n, x, dps=80):
+    """Exact density of real roots at x for independent coefficients (K = 0).
+
+    Edelman and Kostlan's closed form
+        (1/pi) sqrt(1/(1 - x^2)^2 - (n + 1)^2 x^(2n) / (1 - x^(2n+2))^2),
+    evaluated in mpmath at dps digits for the float x taken exactly.  Near
+    x = +-1 each term is about 1/(4 (1 - |x|)^2) and their difference about
+    (n + 1)^2 / 12, so the default 80 digits leave more than 40 for the
+    result whenever 1 - |x| >= 1e-16.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(float(x))
+        m = n + 1
+        gap = 1 / (1 - x * x) ** 2 - m * m * x ** (2 * n) / (1 - x ** (2 * m)) ** 2
+        return float(mpmath.sqrt(gap) / mpmath.pi)

@@ -4,12 +4,16 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from levelcross.cli import main
+from levelcross.quadrature import MAX_DEGREE
+
+from oracles import constant_covariance_crossings
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -22,6 +26,9 @@ GOLDEN = {
         "compute", "--n", "50", "--model", "geometric:0.5", "--k", "1",
         "--interval", "-1..1", "--interval", "1..inf", "--interval", "-inf..-1",
         "--interval", "-2..3"],
+    "compute_constant_n64_full_line": [
+        "compute", "--n", "64", "--model", "constant:0.5", "--k", "0",
+        "--interval", "-inf..inf"],
     "compute_independent_small_n_json": [
         "compute", "--n", "1,2,16", "--model", "independent", "--k", "0",
         "--interval", "-inf..inf", "--format", "json"],
@@ -233,11 +240,47 @@ def test_bad_model_is_reported(capsys):
     assert err.startswith("error:")
 
 
-def test_constant_model_rejected_for_quadrature(capsys):
-    code = main(["compute", "--n", "4", "--model", "constant:0.5", "--k", "0",
-                 "--interval", "-1..1"])
+def test_constant_model_computes(capsys):
+    code, out = _run(capsys, ["compute", "--n", "4", "--model", "constant:0.5", "--k", "0",
+                              "--interval", "-1..1"])
+    assert code == 0
+    (row,) = _rows(out)
+    assert row["model"] == "constant:0.5" and row["flagged"] == "0"
+    # reversal symmetry: (-1, 1) holds half the mean count of the whole line
+    assert float(row["value"]) == pytest.approx(constant_covariance_crossings(4, 0.5) / 2, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_rejected(capsys, tol):
+    code = main(["compute", "--n", "8", "--model", "independent", "--tol", tol])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must be positive and finite")
+
+
+def test_non_finite_value_is_flagged(capsys):
+    # K * K overflows at K = 1.7e308: the NaN that follows must not go out unflagged.
+    code, out = _run(capsys, ["compute", "--n", "50", "--model", "independent",
+                              "--k", "1.7e308", "--interval", "-inf..inf"])
+    (row,) = _rows(out)
+    assert row["flagged"] == "1"
+    assert code == 1
+
+
+@pytest.mark.parametrize("n", [MAX_DEGREE + 1, 1 << 40])
+def test_degree_above_quadrature_limit_is_refused(capsys, n):
+    tracemalloc.start()
+    try:
+        code = main(["compute", "--n", str(n), "--model", "geometric:0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"n = {n} " in captured.err
+    assert peak < 1 << 20  # refused before any lag or moment array exists
 
 
 def test_missing_n_is_reported(capsys):
@@ -264,17 +307,20 @@ def _number(v):
         return None
 
 
-def _regen_report(old: str, new: str) -> list:
-    """What a rewrite of one golden file changes, as printable lines.
+def _regen_report(old: str, new: str) -> tuple[list, list]:
+    """What a rewrite of one golden file changes: (report lines, offending lines).
 
-    The largest |delta| in each numeric column, every row whose |delta value|
-    exceeds its old err, every row whose flagged changed, any other changed
-    cell, and every changed comment line.
+    The report gives the largest |delta| in each numeric column, every
+    changed non-numeric cell and every changed comment line.  The offending
+    lines, which the report also holds, are what a regeneration must not
+    do: a row whose |delta value| exceeds its old err, a row whose flagged
+    changed, or a change in the row count or the columns.
     """
     old_rows, new_rows = _golden_table(old), _golden_table(new)
     if len(old_rows) != len(new_rows) or any(o.keys() != w.keys() for o, w in zip(old_rows, new_rows)):
-        return [f"  row count or columns changed: {len(old_rows)} -> {len(new_rows)} rows"]
-    lines, largest = [], {}
+        line = f"  row count or columns changed: {len(old_rows)} -> {len(new_rows)} rows"
+        return [line], [line]
+    lines, offending, largest = [], [], {}
     for i, (o, w) in enumerate(zip(old_rows, new_rows)):
         row = f"  row {i} (n={o['n']} {o['interval_lo']}..{o['interval_hi']}):"
         for col in o:
@@ -283,21 +329,25 @@ def _regen_report(old: str, new: str) -> list:
                 largest[col] = max(largest.get(col, 0.0), 0.0 if a == b else abs(b - a))
             elif o[col] != w[col]:
                 lines.append(f"{row} {col} {o[col]} -> {w[col]}")
+                if col == "flagged":
+                    offending.append(lines[-1])
         dvalue = abs(float(w["value"]) - float(o["value"]))
-        if dvalue > float(o["err"]):
+        if not dvalue <= float(o["err"]):
             lines.append(f"{row} |delta value| {dvalue:.3g} > old err {float(o['err']):.3g}")
+            offending.append(lines[-1])
     comments = [[l for l in text.splitlines() if l.startswith("#")] for text in (old, new)]
     for a, b in zip(*comments):
         if a != b:
             lines += [f"  comment: {a}", f"       ->  {b}"]
     numeric = ", ".join(f"{col} {d:.3g}" for col, d in largest.items())
-    return [f"  max |delta|: {numeric}"] + lines
+    return [f"  max |delta|: {numeric}"] + lines, offending
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: python tests/test_cli.py --regen  (rewrites tests/golden/ and reports the changes)")
     GOLDEN_DIR.mkdir(exist_ok=True)
+    offending = []
     for name, argv in sorted(GOLDEN.items()):
         path = GOLDEN_DIR / f"{name}.txt"
         new = _golden_stdout(argv)
@@ -306,6 +356,14 @@ if __name__ == "__main__":
             print(f"{name}: unchanged")
             continue
         path.write_bytes(new)
-        print(f"{name}: rewritten")
+        print(f"{name}: {'rewritten' if old is not None else 'created'}")
         if old is not None:
-            print("\n".join(_regen_report(old.decode(), new.decode())))
+            lines, bad = _regen_report(old.decode(), new.decode())
+            print("\n".join(lines))
+            offending += [f"{name}:{line}" for line in bad]
+    if offending:
+        # The files are rewritten all the same; the exit status carries the gate.
+        print(f"{len(offending)} offending rows: a value moved by more than its old err, "
+              "a flagged changed, or the rows or columns changed")
+        print("\n".join(offending))
+        sys.exit(1)

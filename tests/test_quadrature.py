@@ -8,6 +8,7 @@ import pytest
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import (
     FULL_LINE,
+    MAX_DEGREE,
     Breakpoints,
     CrossingEstimate,
     IntervalSpec,
@@ -18,7 +19,7 @@ from levelcross.quadrature import (
 )
 from levelcross.spectrum import CovarianceModel
 
-from oracles import integrand
+from oracles import constant_covariance_crossings, edelman_kostlan_density, integrand
 
 
 def _ens(n, model=None, level=0.0):
@@ -142,9 +143,33 @@ def test_determinism():
     assert a.value == b.value and a.abs_err == b.abs_err
 
 
-def test_constant_model_rejected():
-    with pytest.raises(ValueError):
-        expected_crossings(_ens(5, CovarianceModel.constant(0.5)), FULL_LINE)
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_constant_model_matches_oracle(n):
+    # Quadrature needs only the lags, so the constant model (no density) is
+    # held to the exact closed-form mean.
+    est = expected_crossings(_ens(n, CovarianceModel.constant(0.5)), FULL_LINE, tol=1e-9)
+    assert abs(est.value - constant_covariance_crossings(n, 0.5)) <= 1e-12
+    assert not est.flagged
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 16384])
+def test_f1_matches_edelman_kostlan(n):
+    # K = 0, independent coefficients: F1 is the Edelman-Kostlan density,
+    # in x up to 1 - |x| = 1e-14 and, by reversal, in z = 1/x alike.
+    gaps = np.array([0.5] + [10.0**-j for j in range(1, 15)])
+    xs = np.concatenate([1.0 - gaps, gaps - 1.0])
+    ev = KacRiceEvaluator(_ens(n))
+    exact = np.array([edelman_kostlan_density(n, x) for x in xs])
+    for F1, _ in (ev.inner(xs), ev.transformed(xs)):
+        np.testing.assert_allclose(F1, exact, rtol=1e-13, atol=0.0)
+
+
+def test_degree_limit_admits_2_to_18():
+    ev = KacRiceEvaluator(_ens(MAX_DEGREE))
+    assert MAX_DEGREE == 262144
+    assert ev.gamma.shape == (MAX_DEGREE + 1,)
+    with pytest.raises(ValueError, match=f"n = {MAX_DEGREE + 1} "):
+        KacRiceEvaluator(_ens(MAX_DEGREE + 1))
 
 
 def test_evaluator_batches_match_scalar_integrand():

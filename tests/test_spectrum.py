@@ -115,16 +115,38 @@ def test_model_constant_covariance_is_flat():
     np.testing.assert_allclose(gamma, [1.0, 0.5, 0.5, 0.5, 0.5])
 
 
-def test_model_constant_has_no_density():
-    model = CovarianceModel.constant(0.5)
-    assert not model.has_density
-    with pytest.raises(ValueError):
-        model.require_density()
+def test_model_lags_have_closed_forms():
+    cases = [("independent", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+             ("raised_cosine", (1.0, 0.5, 0.0, 0.0, 0.0, 0.0)),
+             ("constant:0.5", (1.0, 0.5, 0.5, 0.5, 0.5, 0.5))]
+    for text, lags in cases:
+        model = CovarianceModel.parse(text)
+        assert model.covariance(5).gamma == lags
+        assert model.covariance(0).gamma == (1.0,)
+
+
+def test_custom_fourier_lags_are_bit_exact():
+    lags = [1.0, 0.1 + 0.2, -1.0 / 7.0, 1e-17, 2.0**-40]
+    model = CovarianceModel.from_fourier(lags)
+    assert model.covariance(7).gamma == tuple(lags) + (0.0,) * 3
+    assert model.covariance(2).gamma == tuple(lags[:3])
+    text = "custom_fourier:" + ",".join(repr(g) for g in lags)
+    assert CovarianceModel.parse(text).covariance(4).gamma == tuple(lags)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.9, 0.99])
+def test_geometric_lags_are_powers_of_rho(rho):
+    assert CovarianceModel.geometric(rho).covariance(2000).gamma == tuple(rho**k for k in range(2001))
+
+
+def test_model_from_density_takes_fft_lags():
+    model = CovarianceModel.from_density(geometric_density(0.5))
+    assert model.label == "geometric:0.5"
+    np.testing.assert_allclose(model.covariance(3).as_array(), 0.5 ** np.arange(4), atol=1e-14)
 
 
 def test_model_from_fourier_and_labels():
     model = CovarianceModel.from_fourier([1.0, 0.25])
-    assert model.has_density
     assert "fourier" in model.label
     assert CovarianceModel.geometric(0.5).label == "geometric:0.5"
     assert CovarianceModel.independent().label == "independent"
