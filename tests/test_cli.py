@@ -51,6 +51,10 @@ GOLDEN = {
         "simulate", "--n", "30", "--model", "geometric:0.5", "--k", "1",
         "--count", "300", "--seed", "11", "--counter", "companion",
         "--interval", "-1..1", "--interval", "1..inf"],
+    "simulate_companion_constant_overlapping": [
+        "simulate", "--n", "5,128", "--model", "constant:0.5", "--k", "1.5",
+        "--count", "100", "--seed", "13", "--counter", "companion",
+        "--interval", "-inf..inf", "--interval", "0.5..2", "--interval", "-1..1"],
 }
 
 
