@@ -27,8 +27,8 @@ from .montecarlo import (
     SampleBatch,
     count_crossings_bisect_batch,
     count_level_crossings,
-    empirical_covariance,
     estimate_crossings,
+    estimate_crossings_per_interval,
     sample_coefficients,
 )
 from .quadrature import (

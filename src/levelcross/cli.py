@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .asymptotics import fit_log_slope, interval_prediction
-from .montecarlo import estimate_crossings
+from .montecarlo import estimate_crossings_per_interval
 from .moments import PolynomialEnsemble
 from .quadrature import CrossingRow, IntervalSpec, crossing_table, expected_crossings
 from .spectrum import CovarianceModel
@@ -131,8 +131,9 @@ def _simulate_rows(cfg: RunConfig) -> list[dict]:
     out = []
     for n in cfg.n_list:
         ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
-        for spec in cfg.intervals:
-            est = estimate_crossings(ens, spec, count=cfg.count, seed=cfg.seed, counter=cfg.counter)
+        ests = estimate_crossings_per_interval(ens, cfg.intervals, count=cfg.count,
+                                               seed=cfg.seed, counter=cfg.counter)
+        for spec, est in zip(cfg.intervals, ests):
             pred = interval_prediction(n, cfg.level, spec)
             out.append({
                 "n": n, "K": cfg.level, "model": model.label,
@@ -152,9 +153,10 @@ def _compare_rows(cfg: RunConfig) -> list[dict]:
     out = []
     for n in cfg.n_list:
         ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
-        for spec in cfg.intervals:
+        mcs = estimate_crossings_per_interval(ens, cfg.intervals, count=cfg.count,
+                                              seed=cfg.seed, counter=cfg.counter)
+        for spec, mc in zip(cfg.intervals, mcs):
             quad = expected_crossings(ens, spec, tol=cfg.tol)
-            mc = estimate_crossings(ens, spec, count=cfg.count, seed=cfg.seed, counter=cfg.counter)
             pred = interval_prediction(n, cfg.level, spec)
             z = (mc.mean - quad.value) / mc.std_error if mc.std_error > 0 else None
             out.append({

@@ -8,10 +8,15 @@ counted per sample.
 
 Two counters are provided:
 
-* count_level_crossings: companion-matrix eigenvalues with acceptance
-  thresholding, guarded Newton refinement, and de-duplication.  Exact
-  (matches a rational Sturm oracle on small-degree polynomials) but
-  O(n^3) per sample.
+* the companion counter (count_level_crossings for one polynomial):
+  companion-matrix eigenvalues with acceptance thresholding, guarded
+  Newton refinement, and de-duplication.  Exact (matches a rational Sturm
+  oracle on small-degree polynomials) but O(n^3) per sample.  Each
+  sample's verified, distinct real roots are found once and then counted
+  on every interval.  The matrices of a batch are solved in stacks, and
+  all candidate roots of a stack are polished in one vectorized Newton
+  pass.  A sample is refused (count -1) when the eigensolver fails on it
+  or a real eigenvalue fails the backward-error test after polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
   the whole sample batch at once, O(n) per evaluation.  One fused Horner
   pass per live interval [a, b] (midpoint m, half-width h) gives P(m),
@@ -26,6 +31,10 @@ Two counters are provided:
   distinct-root count almost surely.  Used by the estimator at large
   degree for speed; the two counters are cross-checked in the tests.  A
   single polynomial is a batch of one row.
+
+estimate_crossings_per_interval draws one batch per (ensemble, seed) and
+returns one estimate per interval; estimate_crossings is its one-interval
+call.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
+_CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or gathered
+                        # coefficients beside their absolute values
 
 __all__ = [
     "SampleBatch",
@@ -50,7 +61,7 @@ __all__ = [
     "count_level_crossings",
     "count_crossings_bisect_batch",
     "estimate_crossings",
-    "empirical_covariance",
+    "estimate_crossings_per_interval",
 ]
 
 
@@ -140,103 +151,170 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
     return SampleBatch(seed=seed, coeffs=out)
 
 
-def empirical_covariance(batch: SampleBatch, lag: int) -> tuple[float, float]:
-    """(estimate, standard error) of Gamma(lag) from a batch."""
-    x = batch.coeffs
-    if lag == 0:
-        prods = np.mean(x * x, axis=1)
-    else:
-        prods = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
-    return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
-
-
 # ---------------------------------------------------------------------------
 # companion-matrix counter
 # ---------------------------------------------------------------------------
 
 
-def _trimmed(coeffs, K: float) -> np.ndarray:
-    c = np.array(coeffs, dtype=float)
-    c[0] -= K
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        raise ValueError("polynomial is identically zero after level shift")
-    return c[: nz[-1] + 1]
-
-
-def _horner(coeffs_asc: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for c in coeffs_asc[::-1]:
-        acc = acc * x + c
+def _horner_cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomial coef[:, i] (ascending) at x[i], in the order acc * x + c from zero."""
+    acc = np.zeros_like(x)
+    for c in coef[::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
-def _refine_root(coeffs_asc: np.ndarray, x0: float) -> tuple[float, bool]:
-    """Guarded Newton polish; returns (root, backward-error verified)."""
-    dcoef = coeffs_asc[1:] * np.arange(1, len(coeffs_asc))
-    x = x0
-    for _ in range(16):
-        p = _horner(coeffs_asc, x)
-        dp = _horner(dcoef, x)
-        if dp == 0.0 or not math.isfinite(p):
-            break
-        step = p / dp
-        cap = 0.5 * (1.0 + abs(x))
-        if abs(step) > cap:
-            step = math.copysign(cap, step)
-        x -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
-    scale = _horner(np.abs(coeffs_asc), abs(x))
-    resid = abs(_horner(coeffs_asc, x))
-    return x, resid <= 1e-9 * max(scale, 1e-300)
+def _polish(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guarded Newton polish of x[i] as a root of coef[:, i] (ascending).
 
-
-def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> int:
-    """Distinct real solutions of P(x) = K in [spec.lo, spec.hi).
-
-    Companion-matrix eigenvalues of the level-shifted polynomial; roots
-    with small imaginary part are accepted, refined by guarded Newton,
-    verified by a relative backward-error test, and de-duplicated.
-    May raise numpy.linalg.LinAlgError if the eigensolver fails.
+    Up to 16 steps, each capped at (1 + |x|) / 2, end a root's polish when
+    P'(x) = 0, P(x) is not finite, or the step falls to 1e-15 (1 + |x|).
+    Returns the roots and whether each passes the relative backward-error
+    test |P(x)| <= 1e-9 sum |a_k| |x|^k.
     """
-    c = _trimmed(coeffs, K)
-    if len(c) == 1:
-        return 0
-    roots = np.roots(c[::-1])
+    dcoef = coef[1:] * np.arange(1, len(coef))[:, None]
+    x = x.copy()
+    live = np.arange(len(x))
+    for _ in range(16):
+        if len(live) == 0:
+            break
+        xl = x[live]
+        p = _horner_cols(coef[:, live], xl)
+        dp = _horner_cols(dcoef[:, live], xl)
+        go = (dp != 0.0) & np.isfinite(p)
+        live, xl, p, dp = live[go], xl[go], p[go], dp[go]
+        step = p / dp
+        cap = 0.5 * (1.0 + np.abs(xl))
+        step = np.where(np.abs(step) > cap, np.copysign(cap, step), step)
+        xl -= step
+        x[live] = xl
+        live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
+    scale = _horner_cols(np.abs(coef), np.abs(x))
+    resid = np.abs(_horner_cols(coef, x))
+    return x, resid <= 1e-9 * np.maximum(scale, 1e-300)
+
+
+def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of each row's companion matrix, in np.roots' layout.
+
+    p holds descending coefficients, one polynomial of degree >= 1 per row,
+    with p[:, 0] != 0.  The matrices are solved as one stack; if the
+    eigensolver refuses the stack, row by row.  Returns (roots, solved),
+    with roots NaN where solved is False.
+    """
+    rows, d = p.shape[0], p.shape[1] - 1
+    a = np.zeros((rows, d, d))
+    a[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    a[:, 0, :] = -p[:, 1:] / p[:, :1]
+    solved = np.ones(rows, dtype=bool)
+    try:
+        return np.linalg.eigvals(a), solved
+    except np.linalg.LinAlgError:
+        roots = np.full((rows, d), np.nan, dtype=complex)
+        for i in range(rows):
+            try:
+                roots[i] = np.linalg.eigvals(a[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return roots, solved
+
+
+def _count_real_roots(c: np.ndarray, low: int, specs) -> np.ndarray:
+    """Companion counts for rows c (ascending, nonzero top) with c[:, :low] == 0.
+
+    Columns follow specs; a refused row reads -1 in every column.
+    """
+    rows = c.shape[0]
+    counts = np.zeros((rows, len(specs)), dtype=np.int64)
+    # np.roots strips the low zero coefficients and returns them as roots at 0
+    if c.shape[1] - low > 1:
+        roots, solved = _companion_eigvals(c[:, low:][:, ::-1])
+    else:
+        roots, solved = np.empty((rows, 0), dtype=complex), np.ones(rows, dtype=bool)
+    roots = np.concatenate([roots, np.zeros((rows, low), dtype=complex)], axis=1)
     re = roots.real
     im = np.abs(roots.imag)
     band = 1.0 + np.abs(re)
     strict = im <= _IMAG_ACCEPT * band
     rescue = ~strict & (im <= _IMAG_RESCUE * band)
 
-    accepted = []
-    for r in re[strict]:
-        polished, ok = _refine_root(c, r)
-        accepted.append(polished if ok else r)
-    for r in re[rescue]:
-        polished, ok = _refine_root(c, r)
-        if ok:
-            accepted.append(polished)
+    row, col = np.nonzero((strict | rescue) & solved[:, None])
+    x, ok = _polish(np.ascontiguousarray(c[row].T), re[row, col])
+    # a strict root the polish cannot verify refuses its sample
+    refused = ~solved
+    refused[row[strict[row, col] & ~ok]] = True
+    keep = ok & ~refused[row]
+    row, x = row[keep], x[keep]
 
-    accepted.sort()
-    count = 0
-    last = None
-    for r in accepted:
-        if last is not None and r - last <= _DEDUPE * (1.0 + abs(r)):
-            continue
-        last = r
-        if spec.lo <= r < spec.hi:
-            count += 1
-    return count
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    close = np.zeros(len(x), dtype=bool)
+    close[1:] = (row[1:] == row[:-1]) & (x[1:] - x[:-1] <= _DEDUPE * (1.0 + np.abs(x[1:])))
+    # a root within the radius of the last kept root of its row merges into
+    # it; the first root of a row, and each one clear of its predecessor, is kept
+    distinct = ~close
+    for i in np.flatnonzero(close):
+        j = i - 1
+        while not distinct[j]:
+            j -= 1
+        distinct[i] = not x[i] - x[j] <= _DEDUPE * (1.0 + abs(x[i]))
+    row, x = row[distinct], x[distinct]
+
+    for j, spec in enumerate(specs):
+        counts[:, j] = np.bincount(row[(spec.lo <= x) & (x < spec.hi)], minlength=rows)
+    counts[refused] = -1
+    return counts
+
+
+def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
+    """Distinct real solutions of P(x) = K per row of coeffs and per interval.
+
+    Each row's roots are found once: companion-matrix eigenvalues of the
+    level-shifted polynomial, the candidates with small imaginary part
+    polished by guarded Newton and verified by a relative backward-error
+    test, then de-duplicated.  Rows go in chunks whose companion matrices
+    take about _CHUNK_BYTES, each solved as one stack and polished in one
+    pass.  Returns counts of shape (rows, len(specs));
+    a row reads -1 where the eigensolver failed or a strict candidate
+    failed verification.
+    """
+    c = np.array(coeffs, dtype=float, ndmin=2)
+    c[:, 0] -= K
+    nonzero = c != 0.0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("polynomial is identically zero after level shift")
+    d = c.shape[1]
+    low = nonzero.argmax(axis=1)
+    top = d - 1 - nonzero[:, ::-1].argmax(axis=1)
+    counts = np.empty((c.shape[0], len(specs)), dtype=np.int64)
+    # rows sharing (low, top) share a companion size; Gaussian rows are one group
+    groups, which = np.unique(low * d + top, return_inverse=True)
+    with np.errstate(all="ignore"):
+        for g, key in enumerate(groups):
+            lo_zeros, deg = divmod(int(key), d)
+            rows = np.flatnonzero(which == g)
+            size = max(deg - lo_zeros, 1)
+            chunk = max(1, _CHUNK_BYTES // (8 * size * size))  # companion stack bytes
+            for s in range(0, len(rows), chunk):
+                part = rows[s : s + chunk]
+                counts[part] = _count_real_roots(c[part, : deg + 1], lo_zeros, specs)
+    return counts
+
+
+def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> int:
+    """Distinct real solutions of P(x) = K in [spec.lo, spec.hi).
+
+    The companion counter on a batch of one row.  Returns -1 when the
+    polynomial is refused: the eigensolver failed on it, or one of its real
+    eigenvalues failed the backward-error test after polishing.
+    """
+    return int(_companion_counts(coeffs, K, [spec])[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # certified sign-change counter
 # ---------------------------------------------------------------------------
-
-
-_CHUNK_BYTES = 2 << 20   # per chunk: gathered coefficients beside their absolute values
 
 
 def _fused_pass(table: np.ndarray, col: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -361,6 +439,53 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: Inter
 # ---------------------------------------------------------------------------
 
 
+def estimate_crossings_per_interval(
+    e,
+    specs,
+    count: int = 1000,
+    seed: int = 0,
+    counter: str = "auto",
+) -> list[MCEstimate]:
+    """Monte Carlo mean and standard error of the crossing count, per interval.
+
+    One batch of count samples is drawn for (e, seed) and each sample's
+    crossings are counted on every interval of specs, so the estimates are
+    those of estimate_crossings on each interval alone.
+    counter: "companion", "bisect", or "auto" (companion up to degree 128,
+    bisection beyond, where the eigen-solve cost dominates).  The companion
+    counter refuses a sample whose roots it cannot verify; a refused
+    fraction of 1e-3 or more flags the estimates.
+    Deterministic for a fixed seed.
+    """
+    if count < 100:
+        raise ValueError(f"need count >= 100 samples, got {count}")
+    if counter not in ("auto", "companion", "bisect"):
+        raise ValueError(f"unknown counter {counter!r}")
+    specs = list(specs)
+    batch = sample_coefficients(e.model, e.n, count, seed)
+    use_bisect = counter == "bisect" or (counter == "auto" and e.n > 128)
+    if use_bisect:
+        counts = np.stack([count_crossings_bisect_batch(batch.coeffs, e.level, spec)
+                           for spec in specs], axis=1)
+    else:
+        counts = _companion_counts(batch.coeffs, e.level, specs)
+    out = []
+    for spec, col in zip(specs, counts.T):
+        valid = col[col >= 0]
+        frac = (count - len(valid)) / count
+        out.append(MCEstimate(
+            mean=float(valid.mean()),
+            std_error=float(valid.std(ddof=1) / math.sqrt(len(valid))),
+            count=len(valid),
+            interval=spec,
+            rejected_fraction=frac,
+            flagged=frac >= 1e-3,
+            counts=tuple(int(v) for v in col),
+            method="monte_carlo/bisect" if use_bisect else "monte_carlo/companion",
+        ))
+    return out
+
+
 def estimate_crossings(
     e,
     spec: IntervalSpec = FULL_LINE,
@@ -368,42 +493,6 @@ def estimate_crossings(
     seed: int = 0,
     counter: str = "auto",
 ) -> MCEstimate:
-    """Monte Carlo mean and standard error of the crossing count.
-
-    counter: "companion", "bisect", or "auto" (companion up to degree 128,
-    bisection beyond, where the eigen-solve cost dominates).
-    Deterministic for a fixed seed.
-    """
-    if count < 100:
-        raise ValueError(f"need count >= 100 samples, got {count}")
-    if counter not in ("auto", "companion", "bisect"):
-        raise ValueError(f"unknown counter {counter!r}")
-    batch = sample_coefficients(e.model, e.n, count, seed)
-    use_bisect = counter == "bisect" or (counter == "auto" and e.n > 128)
-
-    rejected = 0
-    if use_bisect:
-        counts = count_crossings_bisect_batch(batch.coeffs, e.level, spec)
-    else:
-        counts = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            try:
-                counts[i] = count_level_crossings(batch.coeffs[i], e.level, spec)
-            except np.linalg.LinAlgError:
-                counts[i] = -1
-                rejected += 1
-    valid = counts[counts >= 0]
-    mean = float(valid.mean())
-    se = float(valid.std(ddof=1) / math.sqrt(len(valid)))
-    frac = rejected / count
-    return MCEstimate(
-        mean=mean,
-        std_error=se,
-        count=len(valid),
-        interval=spec,
-        rejected_fraction=frac,
-        flagged=frac >= 1e-3,
-        counts=tuple(int(v) for v in counts),
-        method="monte_carlo/bisect" if use_bisect else "monte_carlo/companion",
-    )
-
+    """Monte Carlo estimate on one interval; see estimate_crossings_per_interval."""
+    (est,) = estimate_crossings_per_interval(e, [spec], count, seed, counter)
+    return est

@@ -159,6 +159,11 @@ def covariance_from_density(
     npoints = 4096
     while npoints < 4 * (m + 1):
         npoints *= 2
+    if 2 * npoints > max_points:
+        raise ValueError(
+            f"covariance to lag m = {m} needs grids of {npoints} and {2 * npoints} points "
+            f"to converge, beyond max_points = {max_points}"
+        )
 
     ks = np.arange(m + 1)
     signs = np.where(ks % 2 == 0, 1.0, -1.0)

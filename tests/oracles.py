@@ -3,8 +3,9 @@
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
 the scalar Kac-Rice integrand at one point, the exact Kac-Rice mean for
-constant covariance from its closed-form moments, and the Edelman-Kostlan
-density of real roots for independent coefficients in mpmath.
+constant covariance from its closed-form moments, the Edelman-Kostlan
+density of real roots for independent coefficients in mpmath, and the
+empirical lag covariance of a sample batch.
 """
 
 import math
@@ -47,6 +48,18 @@ def _poly_rem(num, den):
     return _poly_trim(num)
 
 
+def _primitive(p):
+    """p times a positive rational, with coprime integer coefficients.
+
+    A positive factor keeps every sign the chain is read at, and it stops
+    the coefficients of later remainders from growing without bound.
+    """
+    den = math.lcm(*(c.denominator for c in p))
+    nums = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*nums)
+    return [Fraction(v // g) for v in nums]
+
+
 def sturm_chain(p):
     p = _poly_trim([Fraction(c) for c in p])
     if len(p) <= 1:
@@ -56,7 +69,7 @@ def sturm_chain(p):
         rem = _poly_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -92,6 +105,16 @@ def sturm_count(coeffs, lo, hi):
 
 
 GRAM_EPS = 1e-10  # AC - B^2 at or below this relative size is a removable zero
+
+
+def empirical_covariance(batch, lag):
+    """(estimate, standard error) of Gamma(lag) from a batch."""
+    x = batch.coeffs
+    if lag == 0:
+        prods = np.mean(x * x, axis=1)
+    else:
+        prods = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
+    return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
 
 
 def erf_integral(x):

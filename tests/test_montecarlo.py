@@ -1,6 +1,7 @@
 """Tests for coefficient sampling and Monte Carlo crossing counts."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 from levelcross.montecarlo import (
     count_crossings_bisect_batch,
     count_level_crossings,
-    empirical_covariance,
     estimate_crossings,
+    estimate_crossings_per_interval,
     sample_coefficients,
 )
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
 from levelcross.spectrum import CovarianceModel
 
-from oracles import sturm_count
+from oracles import empirical_covariance, sturm_count
 
 
 def _ens(n, model=None, level=0.0):
@@ -182,7 +183,65 @@ def test_companion_counter_agrees_with_sturm(ints):
     assert got == expect
 
 
+def test_eigensolver_failure_refuses_only_its_sample(monkeypatch):
+    e = _ens(12, CovarianceModel.geometric(0.5), level=0.4)
+    clean = estimate_crossings(e, FULL_LINE, count=200, seed=3, counter="companion")
+    coeffs = sample_coefficients(e.model, e.n, 200, seed=3).coeffs
+    bad = 17
+    marker = -coeffs[bad, -2] / coeffs[bad, -1]  # top-left entry of its companion matrix
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if np.any(np.asarray(a)[..., 0, 0] == marker):
+            raise np.linalg.LinAlgError("injected failure")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    est = estimate_crossings(e, FULL_LINE, count=200, seed=3, counter="companion")
+    expect = list(clean.counts)
+    expect[bad] = -1
+    assert list(est.counts) == expect
+    assert est.count == 199
+    assert est.rejected_fraction == 1 / 200 and est.flagged
+
+
+def test_companion_counter_emits_no_warning_at_n128():
+    e = _ens(128, CovarianceModel.geometric(0.5), level=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_crossings(e, FULL_LINE, count=300, seed=3, counter="companion")
+    assert est.rejected_fraction == 0.0
+
+
+def test_companion_counter_at_huge_level_refuses_or_matches_sturm():
+    # At K = 1e60 the level term dwarfs the integer coefficients, and a real
+    # eigenvalue whose polish fails the backward-error test refuses its sample.
+    rng = np.random.default_rng(60)
+    outcomes = []
+    for _ in range(8):
+        ints = rng.integers(-9, 10, size=51)
+        ints[-1] = rng.integers(1, 10)
+        coeffs = ints.astype(float)
+        frac = [Fraction(c) for c in coeffs]
+        frac[0] = Fraction(coeffs[0] - 1e60)  # the level shift as the counter computes it
+        expect = sturm_count(frac, -math.inf, math.inf)
+        got = count_level_crossings(coeffs, 1e60, FULL_LINE)
+        assert got in (-1, expect), f"coeffs={ints.tolist()}"
+        outcomes.append(got)
+    assert -1 in outcomes
+
+
 # -- estimator ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("counter", ["companion", "bisect"])
+def test_per_interval_estimates_match_single_interval_calls(counter):
+    e = _ens(40, CovarianceModel.constant(0.5), level=1.5)
+    specs = [FULL_LINE, IntervalSpec(0.5, 2.0), IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf)]
+    ests = estimate_crossings_per_interval(e, specs, count=300, seed=9, counter=counter)
+    assert len(ests) == len(specs)
+    for spec, est in zip(specs, ests):
+        assert est == estimate_crossings(e, spec, count=300, seed=9, counter=counter)
 
 
 def test_linear_estimate_is_one():

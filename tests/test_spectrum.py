@@ -45,6 +45,12 @@ def test_covariance_rejects_unnormalized_density():
         covariance_from_density(f, 2)
 
 
+def test_covariance_beyond_grid_limit_names_lag_and_limit():
+    model = CovarianceModel.from_density(geometric_density(0.5))
+    with pytest.raises(ValueError, match=r"m = 262144 .* max_points = 1048576"):
+        model.covariance(262144)
+
+
 def test_density_from_covariance_roundtrips_delta():
     f = density_from_covariance(CovarianceSequence((1.0,)))
     phi = np.linspace(-math.pi, math.pi, 7)
