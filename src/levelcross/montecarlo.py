@@ -168,10 +168,10 @@ def _horner_cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _polish(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Newton polish of x[i] as a root of coef[:, i] (ascending).
 
-    Up to 16 steps, each capped at (1 + |x|) / 2, end a root's polish when
-    P'(x) = 0, P(x) is not finite, or the step falls to 1e-15 (1 + |x|).
-    Returns the roots and whether each passes the relative backward-error
-    test |P(x)| <= 1e-9 sum |a_k| |x|^k.
+    Each root takes up to 16 Newton steps, each capped at (1 + |x|) / 2,
+    and stops early when P'(x) = 0, P(x) is not finite, or the step falls
+    to 1e-15 (1 + |x|).  Returns the roots and whether each passes the
+    relative backward-error test |P(x)| <= 1e-9 sum |a_k| |x|^k.
     """
     dcoef = coef[1:] * np.arange(1, len(coef))[:, None]
     x = x.copy()
@@ -275,9 +275,8 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
     polished by guarded Newton and verified by a relative backward-error
     test, then de-duplicated.  Rows go in chunks whose companion matrices
     take about _CHUNK_BYTES, each solved as one stack and polished in one
-    pass.  Returns counts of shape (rows, len(specs));
-    a row reads -1 where the eigensolver failed or a strict candidate
-    failed verification.
+    pass.  Returns counts of shape (rows, len(specs)); a row reads -1 where
+    the eigensolver failed or a strict candidate failed verification.
     """
     c = np.array(coeffs, dtype=float, ndmin=2)
     c[:, 0] -= K
@@ -473,9 +472,13 @@ def estimate_crossings_per_interval(
     for spec, col in zip(specs, counts.T):
         valid = col[col >= 0]
         frac = (count - len(valid)) / count
+        mean = se = math.nan  # too few samples left: the estimate is flagged
+        if len(valid) > 1:
+            mean = float(valid.mean())
+            se = float(valid.std(ddof=1) / math.sqrt(len(valid)))
         out.append(MCEstimate(
-            mean=float(valid.mean()),
-            std_error=float(valid.std(ddof=1) / math.sqrt(len(valid))),
+            mean=mean,
+            std_error=se,
             count=len(valid),
             interval=spec,
             rejected_fraction=frac,

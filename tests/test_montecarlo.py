@@ -231,6 +231,15 @@ def test_companion_counter_at_huge_level_refuses_or_matches_sturm():
     assert -1 in outcomes
 
 
+def test_all_samples_refused_gives_flagged_nan_without_warnings():
+    e = _ens(50, level=1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_crossings(e, FULL_LINE, count=100, seed=1, counter="companion")
+    assert est.count == 0 and est.rejected_fraction == 1.0 and est.flagged
+    assert math.isnan(est.mean) and math.isnan(est.std_error)
+
+
 # -- estimator ----------------------------------------------------------------
 
 
