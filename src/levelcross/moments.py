@@ -7,8 +7,12 @@ For P_n(x) = sum_k X_k x^k with stationary coefficients,
     C(x) = E[P_n'(x)^2]     = sum_{k,j} Gamma(k-j) k j x^{k+j-2}.
 
 Two independent computational paths are provided: the covariance double
-sum (evaluated as Toeplitz quadratic forms, FFT-accelerated) and the
-spectral closed-form kernel quadrature.  For |x| > 1 a numerically stable
+sum and the spectral closed-form kernel quadrature.  moment_arrays
+evaluates the double sum as Toeplitz quadratic forms: it embeds the
+Toeplitz matrix in a circulant whose length is the smallest 5-smooth
+number >= 2n, transforms a whole batch of power rows with one real FFT,
+and sums the circulant's eigenvalues against the row spectra by Parseval,
+O(n log n) per batch of points.  For |x| > 1 a numerically stable
 scaled form is used: with x = 1/z the scaled triple never forms z^{-2n}.
 
 Stability of the scaled form comes from the reversal identity: the
@@ -34,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 from scipy.special import erf
 
 from .spectrum import CovarianceModel, CovarianceSequence, SpectralDensity
@@ -107,34 +110,62 @@ class MomentTriple:
 # ---------------------------------------------------------------------------
 
 
-def _power_columns(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V[k,i] = xs[i]^k and W[k,i] = k*xs[i]^(k-1) for k = 0..n."""
-    ks = np.arange(n + 1)
-    V = np.power.outer(xs, ks).T
-    W = np.zeros_like(V)
-    W[1:] = ks[1:, None] * V[:-1]
-    return V, W
+def _smooth_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, a length pocketfft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((m - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+_POW_BLOCK = 64  # x^k = x^(64b) * x^j: two small pow tables and one multiply per entry
 
 
 def moment_arrays(gamma: np.ndarray, n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Vectorized A, B, C over points xs from covariance lags gamma[0..n].
 
-    The quadratic forms v^T T v, v^T T w, w^T T w (T = Toeplitz(gamma))
-    are evaluated with an FFT-based Toeplitz multiply, O(n log n) per
-    batch of points.
+    The quadratic forms v^T T v, v^T T w, w^T T w (T = Toeplitz(gamma),
+    v_k = x^k, w_k = k x^(k-1), k = 0..n) are read off a circulant
+    embedding of T of length L = the smallest 5-smooth number >= 2n (lags
+    n and -n share a slot, and both are gamma[n]).  With lambda the
+    circulant's eigenvalues (the real DFT of its first column) and hats
+    for length-L DFTs of the zero-padded rows, Parseval gives
+
+        v^T T v = sum_k lambda_k |v^_k|^2 / L,
+        v^T T w = sum_k lambda_k Re(conj(v^_k) w^_k) / L,
+
+    summed over the half spectrum with the interior bins weighted 2.  One
+    forward rfft covers every row of the batch and the embedded column:
+    O(n log n) per batch of points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if len(gamma) < n + 1:
         raise ValueError(f"covariance sequence covers lags 0..{len(gamma)-1}, need 0..{n}")
     col = np.asarray(gamma[: n + 1], dtype=float)
-    V, W = _power_columns(n, xs)
-    stacked = np.hstack([V, W])
-    tstacked = matmul_toeplitz((col, col), stacked)
-    TV, TW = tstacked[:, : len(xs)], tstacked[:, len(xs):]
-    A = np.einsum("ki,ki->i", V, TV)
-    B = np.einsum("ki,ki->i", V, TW)
-    C = np.einsum("ki,ki->i", W, TW)
-    return A, B, C
+    m = len(xs)
+    L = _smooth_length(2 * n)
+    rows = np.zeros((2 * m + 1, L))
+    V, W = rows[:m], rows[m : 2 * m]
+    hi = np.power.outer(xs, _POW_BLOCK * np.arange(n // _POW_BLOCK + 1))
+    lo = np.power.outer(xs, np.arange(_POW_BLOCK))
+    V[:, : n + 1] = (hi[:, :, None] * lo[:, None, :]).reshape(m, -1)[:, : n + 1]
+    W[:, 1 : n + 1] = V[:, :n] * np.arange(1, n + 1)
+    rows[-1, : n + 1] = col
+    rows[-1, L - n :] = col[:0:-1]
+    spec = np.fft.rfft(rows, axis=1)
+    # An interior bin stands for itself and its conjugate twin.
+    weight = np.full(spec.shape[1], 1.0 / L)
+    weight[1 : (L + 1) // 2] = 2.0 / L
+    # Interleaved (re, im) pairs share their bin's weight.
+    weight = np.repeat(spec[-1].real * weight, 2)
+    parts = spec[:-1].view(np.float64)
+    Vh, Wh = parts[:m], parts[m:]
+    return (Vh * Vh) @ weight, (Vh * Wh) @ weight, (Wh * Wh) @ weight
 
 
 def moments_direct(e: PolynomialEnsemble, gamma: CovarianceSequence, x: float) -> MomentTriple:

@@ -34,8 +34,9 @@ __all__ = [
     "CrossingRow",
 ]
 
-# One 15-point moment batch holds O(n) work arrays: its peak RSS is about
-# 213 MB at n = 2^16 and 690 MB at n = 2^18, so quadrature refuses larger n.
+# One 15-point moment batch holds O(n) work arrays: the process's peak RSS
+# is about 140 MB at n = 2^16 and 400 MB at n = 2^18 (0.1-0.2 s and
+# 0.35-0.65 s per batch on a 2-vCPU x86 VM), so quadrature refuses larger n.
 MAX_DEGREE = 1 << 18
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,6 +130,8 @@ class CovarianceSequence:
         return out
 
     def toeplitz_matrix(self, size: int) -> np.ndarray:
+        from scipy.linalg import toeplitz  # imported here to keep scipy.linalg off the CLI's import path
+
         return toeplitz(self.as_array(size - 1))
 
 
@@ -344,4 +345,6 @@ def sample_covariance_matrix(model: CovarianceModel, size: int, jitter: float = 
 
 def cholesky_factor(model: CovarianceModel, size: int, jitter: float = 1e-12) -> np.ndarray:
     """Lower Cholesky factor of the Toeplitz covariance, with diagonal jitter."""
+    from scipy.linalg import cholesky
+
     return cholesky(sample_covariance_matrix(model, size, jitter=jitter), lower=True)

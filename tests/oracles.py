@@ -2,10 +2,11 @@
 
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
-the scalar Kac-Rice integrand at one point, the exact Kac-Rice mean for
-constant covariance from its closed-form moments, the Edelman-Kostlan
-density of real roots for independent coefficients in mpmath, and the
-empirical lag covariance of a sample batch.
+the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
+Toeplitz quadratic forms, the exact Kac-Rice mean for constant covariance
+from its closed-form moments, the Edelman-Kostlan density of real roots
+for independent coefficients in mpmath, and the empirical lag covariance
+of a sample batch.
 """
 
 import math
@@ -116,6 +117,26 @@ def empirical_covariance(batch, lag):
     else:
         prods = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
     return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
+
+
+def toeplitz_moments(gamma, n, xs):
+    """A, B, C at each x of xs as dense Toeplitz quadratic forms.
+
+    A = v^T T v, B = v^T T w and C = w^T T w with T[k, j] = gamma[|k - j|],
+    v_k = x^k and w_k = k x^(k-1), k = 0..n: the covariance double sum
+    itself, one matrix product, no FFT.  It runs in np.longdouble, so where
+    that type is wider than a double (x86's 80-bit format) its own
+    rounding stays far below that of a double-precision code under test.
+    """
+    k = np.arange(n + 1)
+    g = np.asarray(gamma[: n + 1], dtype=np.longdouble)
+    T = g[np.abs(k[:, None] - k[None, :])]
+    x = np.asarray(xs, dtype=np.longdouble)
+    V = x[None, :] ** k[:, None]
+    W = np.zeros_like(V)
+    W[1:] = k[1:, None] * V[:-1]
+    TV, TW = T @ V, T @ W
+    return tuple(np.asarray((P * Q).sum(axis=0), dtype=float) for P, Q in ((V, TV), (V, TW), (W, TW)))
 
 
 def erf_integral(x):

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -285,6 +287,16 @@ def test_degree_above_quadrature_limit_is_refused(capsys, n):
     assert captured.out == ""
     assert f"n = {n} " in captured.err
     assert peak < 1 << 20  # refused before any lag or moment array exists
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs start-up time and memory, and only the dense
+    # sampler fallback needs it, so the CLI imports it on first use.
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, levelcross.cli; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_missing_n_is_reported(capsys):

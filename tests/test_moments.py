@@ -11,6 +11,7 @@ from levelcross.moments import (
     MomentTriple,
     PolynomialEnsemble,
     erf_integral,
+    _smooth_length,
     moment_arrays,
     moments_direct,
     moments_outer_scaled,
@@ -25,7 +26,7 @@ from levelcross.spectrum import (
     independent_density,
 )
 
-from oracles import integrand
+from oracles import integrand, toeplitz_moments
 
 
 def _ens(n, model=None, level=0.0):
@@ -71,6 +72,35 @@ def test_moment_arrays_matches_direct():
         assert A[i] == pytest.approx(m.A, rel=1e-12)
         assert B[i] == pytest.approx(m.B, rel=1e-12)
         assert C[i] == pytest.approx(m.C, rel=1e-12)
+
+
+def test_smooth_length_is_least_5_smooth_at_or_above():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for m in range(1, 3000):
+        assert _smooth_length(m) == next(k for k in range(m, 2 * m + 1) if smooth(k))
+
+
+ORACLE_XS = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0 - 1e-12, -(1.0 - 1e-12)])
+
+
+@pytest.mark.parametrize(
+    "model", ["independent", "geometric:0.5", "raised_cosine", "constant:0.5", "custom_fourier:1,0.3,0.1"]
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 15, 16, 255, 1024, 2048])
+def test_moment_arrays_matches_dense_toeplitz_oracle(model, n):
+    # The transform lengths are odd (15, 27 at n = 7, 13) and even, padded
+    # (2n = 510 -> 512) and not; at x = +-1e-3 the powers underflow.
+    gamma = CovarianceModel.parse(model).covariance(n).as_array(n)
+    A, B, C = moment_arrays(gamma, n, ORACLE_XS)
+    Ao, Bo, Co = toeplitz_moments(gamma, n, ORACLE_XS)
+    assert np.all(np.abs(A - Ao) <= 1e-12 * Ao)
+    assert np.all(np.abs(B - Bo) <= 1e-12 * np.sqrt(Ao * Co))
+    assert np.all(np.abs(C - Co) <= 1e-12 * Co)
 
 
 # -- spectral path ----------------------------------------------------------
