@@ -21,8 +21,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Golden files: name -> argv.  Each tests/golden/<name>.txt holds the exact
 # stdout of main(argv); a refactor must reproduce every file byte for byte.
-# Regenerate with `python tests/test_cli.py --regen` only when an output is
-# meant to change, and say why in the change log.
+# Regenerate with `PYTHONPATH=src python tests/test_cli.py --regen` only
+# when an output is meant to change, and say why in the change log.
 GOLDEN = {
     "compute_geometric_n50_k1_intervals": [
         "compute", "--n", "50", "--model", "geometric:0.5", "--k", "1",
@@ -361,7 +361,7 @@ def _regen_report(old: str, new: str) -> tuple[list, list]:
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python tests/test_cli.py --regen  (rewrites tests/golden/ and reports the changes)")
+        sys.exit("usage: PYTHONPATH=src python tests/test_cli.py --regen  (rewrites tests/golden/ and reports the changes)")
     GOLDEN_DIR.mkdir(exist_ok=True)
     offending = []
     for name, argv in sorted(GOLDEN.items()):
