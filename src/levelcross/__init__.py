@@ -49,7 +49,6 @@ from .spectrum import (
     density_from_covariance,
     geometric_density,
     independent_density,
-    positivity_bounds,
     raised_cosine_density,
 )
 

@@ -29,7 +29,9 @@ which is free of the catastrophic cancellation of the raw forms.
 
 intensity() is the one implementation of the crossing intensity F1 + F2:
 it takes moment arrays, so quadrature evaluates it on whole batches of
-points, in plain coordinates and in the transformed tails alike.
+points, in plain coordinates and in the transformed tails alike.  The
+erf in F2 is the standard library's math.erf, applied elementwise, so
+numpy is the package's only dependency.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .spectrum import CovarianceModel, CovarianceSequence, SpectralDensity
 
 GRAM_EPS = 1e-10  # tolerance for AC - B^2 treated as a removable zero
+_ERF = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise; returns object arrays
 
 
 def erf_integral(x):
@@ -54,7 +56,7 @@ def erf_integral(x):
     out both by the exact conditional-expectation form of the crossing
     density and by Monte Carlo.
     """
-    return 0.5 * math.sqrt(math.pi) * erf(x)
+    return 0.5 * math.sqrt(math.pi) * np.asarray(_ERF(x), dtype=float)
 
 
 __all__ = [

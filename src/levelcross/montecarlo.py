@@ -453,7 +453,9 @@ def estimate_crossings_per_interval(
     counter: "companion", "bisect", or "auto" (companion up to degree 128,
     bisection beyond, where the eigen-solve cost dominates).  The companion
     counter refuses a sample whose roots it cannot verify; a refused
-    fraction of 1e-3 or more flags the estimates.
+    fraction of 1e-3 or more flags the estimates.  Under "auto" the
+    refused samples are counted again by bisection instead, and method
+    reads "monte_carlo/companion+bisect".
     Deterministic for a fixed seed.
     """
     if count < 100:
@@ -462,12 +464,18 @@ def estimate_crossings_per_interval(
         raise ValueError(f"unknown counter {counter!r}")
     specs = list(specs)
     batch = sample_coefficients(e.model, e.n, count, seed)
-    use_bisect = counter == "bisect" or (counter == "auto" and e.n > 128)
-    if use_bisect:
-        counts = np.stack([count_crossings_bisect_batch(batch.coeffs, e.level, spec)
-                           for spec in specs], axis=1)
+
+    def bisect_counts(coeffs):
+        return np.stack([count_crossings_bisect_batch(coeffs, e.level, spec) for spec in specs], axis=1)
+
+    if counter == "bisect" or (counter == "auto" and e.n > 128):
+        counts, method = bisect_counts(batch.coeffs), "monte_carlo/bisect"
     else:
-        counts = _companion_counts(batch.coeffs, e.level, specs)
+        counts, method = _companion_counts(batch.coeffs, e.level, specs), "monte_carlo/companion"
+        refused = counts[:, 0] < 0  # a refused row reads -1 in every column
+        if counter == "auto" and refused.any():
+            counts[refused] = bisect_counts(batch.coeffs[refused])
+            method = "monte_carlo/companion+bisect"
     out = []
     for spec, col in zip(specs, counts.T):
         valid = col[col >= 0]
@@ -484,7 +492,7 @@ def estimate_crossings_per_interval(
             rejected_fraction=frac,
             flagged=frac >= 1e-3,
             counts=tuple(int(v) for v in col),
-            method="monte_carlo/bisect" if use_bisect else "monte_carlo/companion",
+            method=method,
         ))
     return out
 

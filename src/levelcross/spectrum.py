@@ -31,7 +31,6 @@ __all__ = [
     "raised_cosine_density",
     "covariance_from_density",
     "density_from_covariance",
-    "positivity_bounds",
 ]
 
 
@@ -86,7 +85,7 @@ def raised_cosine_density() -> SpectralDensity:
     """Density (1+cos(phi))/(2*pi): Gamma = (1, 1/2, 0, 0, ...).
 
     Touches zero at phi = +-pi, so it is not strictly positive; it is kept
-    as a boundary-case family and rejected by positivity_bounds.
+    as a boundary-case family.
     """
 
     def evaluate(phi):
@@ -130,9 +129,9 @@ class CovarianceSequence:
         return out
 
     def toeplitz_matrix(self, size: int) -> np.ndarray:
-        from scipy.linalg import toeplitz  # imported here to keep scipy.linalg off the CLI's import path
-
-        return toeplitz(self.as_array(size - 1))
+        """The size x size matrix T[i, j] = Gamma(|i - j|)."""
+        k = np.arange(size)
+        return self.as_array(size - 1)[np.abs(k[:, None] - k)]
 
 
 def _sample_density(f: SpectralDensity, npoints: int) -> np.ndarray:
@@ -229,22 +228,6 @@ def density_from_covariance(
         upper_bound=fmax,
         label="fourier_sum",
     )
-
-
-def positivity_bounds(f: SpectralDensity, grid: int = 1025) -> tuple[float, float]:
-    """(min, max) of the density over a uniform grid on [-pi, pi].
-
-    The grid includes the endpoints and (for odd grid) phi = 0.  Raises
-    if the minimum is not strictly positive.
-    """
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64 points, got {grid}")
-    phi = np.linspace(-math.pi, math.pi, grid)
-    vals = np.asarray(f.evaluate(phi), dtype=float)
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo <= 0.0:
-        raise ValueError(f"density not strictly positive: min over grid is {lo:.3e}")
-    return lo, hi
 
 
 def _finite_lags(gamma: tuple) -> Callable[[int], tuple]:
@@ -345,6 +328,4 @@ def sample_covariance_matrix(model: CovarianceModel, size: int, jitter: float = 
 
 def cholesky_factor(model: CovarianceModel, size: int, jitter: float = 1e-12) -> np.ndarray:
     """Lower Cholesky factor of the Toeplitz covariance, with diagonal jitter."""
-    from scipy.linalg import cholesky
-
-    return cholesky(sample_covariance_matrix(model, size, jitter=jitter), lower=True)
+    return np.linalg.cholesky(sample_covariance_matrix(model, size, jitter=jitter))

@@ -5,8 +5,8 @@ evidence and not self-consistency: a rational-arithmetic Sturm root counter,
 the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
 Toeplitz quadratic forms, the exact Kac-Rice mean for constant covariance
 from its closed-form moments, the Edelman-Kostlan density of real roots
-for independent coefficients in mpmath, and the empirical lag covariance
-of a sample batch.
+for independent coefficients in mpmath, the empirical lag covariance
+of a sample batch, and the range of a spectral density over a grid.
 """
 
 import math
@@ -118,6 +118,22 @@ def empirical_covariance(batch, lag):
         prods = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
     return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
 
+
+
+def positivity_bounds(f, grid=1025):
+    """(min, max) of the density f.evaluate over a uniform grid on [-pi, pi].
+
+    The grid includes the endpoints and (for odd grid) phi = 0.  Raises
+    if the minimum is not strictly positive.
+    """
+    if grid < 64:
+        raise ValueError(f"grid must be at least 64 points, got {grid}")
+    phi = np.linspace(-math.pi, math.pi, grid)
+    vals = np.asarray(f.evaluate(phi), dtype=float)
+    lo, hi = float(vals.min()), float(vals.max())
+    if lo <= 0.0:
+        raise ValueError(f"density not strictly positive: min over grid is {lo:.3e}")
+    return lo, hi
 
 def toeplitz_moments(gamma, n, xs):
     """A, B, C at each x of xs as dense Toeplitz quadratic forms.

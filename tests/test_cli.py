@@ -299,6 +299,29 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert done.stdout.strip() == "False"
 
 
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency: no command loads any scipy module.
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import contextlib, io, sys
+from levelcross.cli import main
+runs = [
+    ["compute", "--n", "20", "--model", "geometric:0.5", "--k", "1", "--interval", "-inf..inf"],
+    ["sweep", "--n", "16:32:x2", "--model", "independent", "--k-rule", "fixed:1", "--interval", "-1..1"],
+    ["compare", "--n", "10", "--model", "independent", "--k", "0.5", "--count", "100", "--seed", "1"],
+    ["simulate", "--n", "10", "--model", "raised_cosine", "--k", "1", "--count", "100", "--counter", "companion"],
+    ["simulate", "--n", "10", "--model", "raised_cosine", "--k", "1", "--count", "100", "--counter", "bisect"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
 def test_missing_n_is_reported(capsys):
     code = main(["compute", "--model", "independent", "--k", "0", "--interval", "-1..1"])
     assert code == 2

@@ -253,6 +253,30 @@ def test_erf_integral_limits():
     assert erf_integral(-1.0) == -erf_integral(1.0)
 
 
+
+def test_erf_integral_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        half_sqrt_pi = mpmath.sqrt(mpmath.pi) / 2
+        for v in (1e-300, 1e-8, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 27.0, 1e300):
+            for x in (v, -v):
+                want = float(mpmath.erf(mpmath.mpf(x)) * half_sqrt_pi)
+                got = erf_integral(x)
+                assert abs(got - want) <= 2 * np.spacing(abs(want)), x
+                assert erf_integral(-x) == -got
+    assert erf_integral(math.inf) == 0.5 * math.sqrt(math.pi)
+    assert erf_integral(-math.inf) == -0.5 * math.sqrt(math.pi)
+    assert math.isnan(erf_integral(math.nan))
+
+
+def test_erf_integral_keeps_shape():
+    assert np.shape(erf_integral(0.5)) == ()
+    assert np.shape(erf_integral(np.asarray(0.5))) == ()
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    got = erf_integral(x)
+    assert got.shape == (3, 4) and got.dtype == np.float64
+    np.testing.assert_array_equal(got.ravel(), [erf_integral(v) for v in x.ravel()])
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         PolynomialEnsemble(n=0, model=CovarianceModel.independent())

@@ -240,6 +240,18 @@ def test_all_samples_refused_gives_flagged_nan_without_warnings():
     assert math.isnan(est.mean) and math.isnan(est.std_error)
 
 
+
+@pytest.mark.parametrize("level", [1e60, 1e150])
+def test_auto_counter_recounts_refused_samples_by_bisection(level):
+    # The companion counter refuses most samples at these levels; under
+    # "auto" those samples are counted by bisection, so the estimate answers.
+    e = _ens(50, level=level)
+    auto = estimate_crossings(e, FULL_LINE, count=200, seed=2, counter="auto")
+    bisect = estimate_crossings(e, FULL_LINE, count=200, seed=2, counter="bisect")
+    assert auto.method == "monte_carlo/companion+bisect"
+    assert not auto.flagged and auto.rejected_fraction == 0.0 and auto.count == 200
+    assert auto.counts == bisect.counts
+
 # -- estimator ----------------------------------------------------------------
 
 

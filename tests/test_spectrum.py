@@ -17,10 +17,11 @@ from levelcross.spectrum import (
     density_from_covariance,
     geometric_density,
     independent_density,
-    positivity_bounds,
     raised_cosine_density,
     sample_covariance_matrix,
 )
+
+from oracles import positivity_bounds
 
 
 def test_covariance_independent_is_delta():
@@ -190,6 +191,16 @@ def test_cholesky_factor_reconstructs():
     L = cholesky_factor(model, 8)
     np.testing.assert_allclose(L @ L.T, sample_covariance_matrix(model, 8), atol=1e-10)
 
+
+
+@pytest.mark.parametrize("size", [1, 8, 64, 200, 513])
+def test_dense_factor_matches_scipy(size):
+    linalg = pytest.importorskip("scipy.linalg")
+    model = CovarianceModel.geometric(0.9)
+    seq = model.covariance(size - 1)
+    np.testing.assert_array_equal(seq.toeplitz_matrix(size), linalg.toeplitz(seq.as_array(size - 1)))
+    want = linalg.cholesky(sample_covariance_matrix(model, size, jitter=1e-12), lower=True)
+    assert np.max(np.abs(cholesky_factor(model, size) - want)) <= 1e-13 * np.max(np.abs(want))
 
 @given(st.floats(min_value=0.01, max_value=0.95), st.integers(min_value=1, max_value=12))
 @settings(max_examples=25, deadline=None)
