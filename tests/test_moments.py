@@ -255,7 +255,8 @@ def test_erf_integral_limits():
 
 
 def test_erf_integral_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
+
     with mpmath.workdps(50):
         half_sqrt_pi = mpmath.sqrt(mpmath.pi) / 2
         for v in (1e-300, 1e-8, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 27.0, 1e300):

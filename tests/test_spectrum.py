@@ -195,7 +195,8 @@ def test_cholesky_factor_reconstructs():
 
 @pytest.mark.parametrize("size", [1, 8, 64, 200, 513])
 def test_dense_factor_matches_scipy(size):
-    linalg = pytest.importorskip("scipy.linalg")
+    from scipy import linalg
+
     model = CovarianceModel.geometric(0.9)
     seq = model.covariance(size - 1)
     np.testing.assert_array_equal(seq.toeplitz_matrix(size), linalg.toeplitz(seq.as_array(size - 1)))
