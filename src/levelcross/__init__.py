@@ -7,21 +7,11 @@ Monte Carlo simulator for cross-validation.
 
 from .asymptotics import (
     AsymptoticPrediction,
-    EdgeZoom,
-    edge_moment_approx,
     fit_log_slope,
     interval_prediction,
     theorem_prediction,
 )
-from .moments import (
-    MomentTriple,
-    PolynomialEnsemble,
-    intensity,
-    moments_direct,
-    moments_outer_scaled,
-    moments_spectral,
-    unscale_moments,
-)
+from .moments import PolynomialEnsemble, intensity
 from .montecarlo import (
     MCEstimate,
     SampleBatch,

@@ -6,10 +6,6 @@ For a strictly positive spectral density the expected crossings behave as
     K = o(sqrt(n/loglog n)), f in C1:
         E[N_K(-1,1)]  = (1/pi) log(n/K^2) + O(log log n)
         E[N_K(|x|>1)] = (1/pi) log n      + O(log log n)
-
-Near the edge x = 1 - y (with log log n / n < y < 1/log n) the moments
-take the arctan form A ~ (2 f(0)/y) arctan(g(y)/y) with
-g(y) = y log n / log log n, and the mirrored form with f(pi) at x = -1+y.
 """
 
 from __future__ import annotations
@@ -19,18 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentTriple
-from .spectrum import SpectralDensity
-
 REGIMES = ("K_bounded", "K_growing")
 INTERVAL_CLASSES = ("inner", "outer")
 
 __all__ = [
     "AsymptoticPrediction",
-    "EdgeZoom",
     "theorem_prediction",
     "interval_prediction",
-    "edge_moment_approx",
     "fit_log_slope",
 ]
 
@@ -99,54 +90,6 @@ def interval_prediction(n: int, K: float, spec) -> float | None:
         total += 0.5 * theorem_prediction(n, K, regime, "outer").value
         covered = True
     return total if covered else None
-
-
-@dataclass(frozen=True)
-class EdgeZoom:
-    """Evaluation point x = side*(1 - y) in the near-edge zone."""
-
-    y: float
-    n: int
-    side: int = +1
-
-    def __post_init__(self):
-        if not 0.0 < self.y < 1.0:
-            raise ValueError(f"need 0 < y < 1, got {self.y}")
-        if self.side not in (+1, -1):
-            raise ValueError(f"side must be +1 or -1, got {self.side}")
-
-    @property
-    def g(self) -> float:
-        return self.y * math.log(self.n) / math.log(math.log(self.n))
-
-    @property
-    def slope_ratio(self) -> float:
-        """g(y)/y = log n / log log n, independent of y."""
-        return math.log(self.n) / math.log(math.log(self.n))
-
-
-def edge_moment_approx(zoom: EdgeZoom, f: SpectralDensity) -> MomentTriple:
-    """arctan-form moment approximations in the near-edge zone.
-
-    Valid for log log n / n < y < 1/log n.  The density is probed at
-    phi = 0 for side = +1 and phi = pi for side = -1; the sign of B flips
-    on the negative side.  For f in C1 the error order is only sharpened
-    (the O(1/g) corrections enter as zero), so the same values serve
-    densities in C0 and in C1.
-    """
-    n, y = zoom.n, zoom.y
-    lo = math.log(math.log(n)) / n
-    hi = 1.0 / math.log(n)
-    if not lo < y < hi:
-        raise ValueError(f"y = {y} outside the edge zone ({lo:.3e}, {hi:.3e}) for n = {n}")
-    phi = 0.0 if zoom.side == +1 else math.pi
-    fv = float(np.asarray(f.evaluate(np.array([phi])))[0])
-    at = math.atan(zoom.slope_ratio)
-    return MomentTriple(
-        A=2.0 * fv / y * at,
-        B=zoom.side * fv / (y * y) * at,
-        C=fv / (y**3) * at,
-    )
 
 
 def fit_log_slope(rows) -> tuple[float, float, float]:

@@ -51,6 +51,10 @@ def _parse_n_spec(text: str) -> list[int]:
         start, stop, factor = int(start_s), int(stop_s), int(step_s[1:])
         if factor < 2:
             raise ValueError("n sweep factor must be >= 2")
+        if start < 1:
+            raise ValueError(f"n sweep must start at a degree >= 1, got {start}")
+        if stop < start:
+            raise ValueError(f"n sweep {text!r} is empty: stop {stop} < start {start}")
         out = []
         n = start
         while n <= stop:

@@ -6,14 +6,13 @@ For P_n(x) = sum_k X_k x^k with stationary coefficients,
     B(x) = E[P_n(x)P_n'(x)] = sum_{k,j} Gamma(k-j) k x^{k+j-1},
     C(x) = E[P_n'(x)^2]     = sum_{k,j} Gamma(k-j) k j x^{k+j-2}.
 
-Two independent computational paths are provided: the covariance double
-sum and the spectral closed-form kernel quadrature.  moment_arrays
-evaluates the double sum as Toeplitz quadratic forms: it embeds the
-Toeplitz matrix in a circulant whose length is the smallest 5-smooth
-number >= 2n, transforms a whole batch of power rows with one real FFT,
-and sums the circulant's eigenvalues against the row spectra by Parseval,
-O(n log n) per batch of points.  For |x| > 1 a numerically stable
-scaled form is used: with x = 1/z the scaled triple never forms z^{-2n}.
+moment_arrays is the one implementation of these sums: it evaluates the
+double sum as Toeplitz quadratic forms, embedding the Toeplitz matrix in a
+circulant whose length is the smallest 5-smooth number >= 2n,
+transforming a whole batch of power rows with one real FFT, and summing
+the circulant's eigenvalues against the row spectra by Parseval,
+O(n log n) per batch of points.  For |x| > 1 a numerically stable scaled
+form is used: with x = 1/z the scaled triple never forms z^{-2n}.
 
 Stability of the scaled form comes from the reversal identity: the
 reversed polynomial z^n P_n(1/z) = sum_k X_{n-k} z^k has the same
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CovarianceModel, CovarianceSequence, SpectralDensity
+from .spectrum import CovarianceModel
 
 GRAM_EPS = 1e-10  # tolerance for AC - B^2 treated as a removable zero
 _ERF = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise; returns object arrays
@@ -61,14 +60,10 @@ def erf_integral(x):
 
 __all__ = [
     "PolynomialEnsemble",
-    "MomentTriple",
     "erf_integral",
     "intensity",
-    "moments_direct",
-    "moments_spectral",
-    "moments_outer_scaled",
+    "moment_arrays",
     "scaled_outer_from_inner",
-    "unscale_moments",
 ]
 
 
@@ -87,28 +82,8 @@ class PolynomialEnsemble:
             raise ValueError(f"level must be finite, got {self.level}")
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    """(A, B, C) at a point, possibly in scaled outer form.
-
-    scale_exponent p is 0 for plain values.  For the outer form (x = 1/z,
-    p = 2n) the true values are recovered as
-
-        A(1/z) = z^{-p} A,   B(1/z) = -z^{-p+1} B,   C(1/z) = z^{-p+2} C.
-    """
-
-    A: float
-    B: float
-    C: float
-    scale_exponent: int = 0
-
-    @property
-    def gram(self) -> float:
-        return self.A * self.C - self.B * self.B
-
-
 # ---------------------------------------------------------------------------
-# direct (covariance double sum) path
+# covariance double sum as Toeplitz quadratic forms
 # ---------------------------------------------------------------------------
 
 
@@ -170,65 +145,6 @@ def moment_arrays(gamma: np.ndarray, n: int, xs: np.ndarray) -> tuple[np.ndarray
     return (Vh * Vh) @ weight, (Vh * Wh) @ weight, (Wh * Wh) @ weight
 
 
-def moments_direct(e: PolynomialEnsemble, gamma: CovarianceSequence, x: float) -> MomentTriple:
-    """A, B, C at x via the covariance double sum (lag-reorganized)."""
-    garr = gamma.as_array(e.n)
-    A, B, C = moment_arrays(garr, e.n, np.array([x]))
-    return MomentTriple(A=float(A[0]), B=float(B[0]), C=float(C[0]))
-
-
-# ---------------------------------------------------------------------------
-# spectral (closed-form kernel quadrature) path
-# ---------------------------------------------------------------------------
-
-
-def _spectral_kernel_values(n: int, x: float, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """|D|^2, Re(conj(D) dD/dx), |dD/dx|^2 with D = (1 - (x e^{i phi})^{n+1})/(1 - x e^{i phi})."""
-    s = np.exp(1j * phi)
-    w = x * s
-    num = 1.0 - w ** (n + 1)
-    den = 1.0 - w
-    D = num / den
-    dD = (-(n + 1) * x**n * s ** (n + 1) * den + num * s) / (den * den)
-    return np.abs(D) ** 2, (np.conj(D) * dD).real, np.abs(dD) ** 2
-
-
-def moments_spectral(
-    e: PolynomialEnsemble,
-    f: SpectralDensity,
-    x: float,
-    rel_tol: float = 1e-11,
-    max_points: int = 1 << 18,
-) -> MomentTriple:
-    """A, B, C at x (|x| < 1) by quadrature of the geometric-sum kernels.
-
-    Periodic trapezoid rule with grid doubling; raises if the refinement
-    limit is hit (callers near |x| -> 1 with huge n should switch to the
-    asymptotic forms).
-    """
-    if abs(x) >= 1.0:
-        raise ValueError(f"spectral path requires |x| < 1, got x = {x}")
-    n = e.n
-    npoints = 2048
-    prev = None
-    while npoints <= max_points:
-        phi = -math.pi + 2.0 * math.pi * np.arange(npoints) / npoints
-        fvals = np.asarray(f.evaluate(phi), dtype=float)
-        ka, kb, kc = _spectral_kernel_values(n, x, phi)
-        step = 2.0 * math.pi / npoints
-        cur = np.array([np.dot(ka, fvals), np.dot(kb, fvals), np.dot(kc, fvals)]) * step
-        if prev is not None:
-            scale = np.maximum(np.abs(cur), np.abs(cur).max() * 1e-6)
-            if np.max(np.abs(cur - prev) / scale) <= rel_tol:
-                return MomentTriple(A=float(cur[0]), B=float(cur[1]), C=float(cur[2]))
-        prev = cur
-        npoints *= 2
-    raise ValueError(
-        f"spectral moment quadrature did not converge at x = {x}, n = {n} "
-        "(refinement limit reached)"
-    )
-
-
 # ---------------------------------------------------------------------------
 # scaled outer form (|x| > 1 via x = 1/z)
 # ---------------------------------------------------------------------------
@@ -243,31 +159,6 @@ def scaled_outer_from_inner(n: int, z, A, B, C):
     Btil = z * B - n * A
     Ctil = n * n * A - 2.0 * n * z * B + z * z * C
     return Atil, Btil, Ctil
-
-
-def moments_outer_scaled(e: PolynomialEnsemble, f: SpectralDensity, z: float) -> MomentTriple:
-    """Scaled moments at x = 1/z for 0 < |z| < 1; never forms z^{-2n}."""
-    if z == 0.0:
-        raise ValueError("z = 0 is outside the domain of the outer transform")
-    if not 0.0 < abs(z) < 1.0:
-        raise ValueError(f"outer transform requires 0 < |z| < 1, got z = {z}")
-    inner = moments_spectral(e, f, z)
-    Atil, Btil, Ctil = scaled_outer_from_inner(e.n, z, inner.A, inner.B, inner.C)
-    return MomentTriple(A=float(Atil), B=float(Btil), C=float(Ctil), scale_exponent=2 * e.n)
-
-
-def unscale_moments(m: MomentTriple, z: float) -> MomentTriple:
-    """Recover the plain triple at x = 1/z from a scaled triple (small n only)."""
-    if m.scale_exponent == 0:
-        return m
-    p = m.scale_exponent
-    return MomentTriple(
-        A=m.A * z**(-p),
-        B=-m.B * z**(-p + 1),
-        C=m.C * z**(-p + 2),
-    )
-
-
 
 
 # ---------------------------------------------------------------------------

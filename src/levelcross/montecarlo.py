@@ -128,7 +128,7 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
     lam = _circulant_eigenvalues(model, n)
     if lam is None:
         # embedding not PSD for these lags: dense Toeplitz factorization
-        lower = cholesky_factor(model, n + 1, jitter=1e-12)
+        lower = cholesky_factor(model, n + 1)
         out = np.empty((count, n + 1))
         for start in range(0, count, _RNG_CHUNK):
             stop = min(start + _RNG_CHUNK, count)

@@ -24,6 +24,7 @@ from .asymptotics import interval_prediction
 from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
 
 __all__ = [
+    "FULL_LINE",
     "IntervalSpec",
     "Breakpoints",
     "CrossingEstimate",

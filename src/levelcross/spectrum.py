@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+CHOLESKY_JITTER = 1e-12  # diagonal shift that keeps near-singular lag matrices factorable
 
 __all__ = [
     "SpectralDensity",
@@ -318,14 +319,7 @@ class CovarianceModel:
         return CovarianceSequence(gamma=tuple(self.lags(m)))
 
 
-def sample_covariance_matrix(model: CovarianceModel, size: int, jitter: float = 0.0) -> np.ndarray:
-    """Dense Toeplitz covariance of (X_0, ..., X_{size-1}) under the model."""
+def cholesky_factor(model: CovarianceModel, size: int) -> np.ndarray:
+    """Lower Cholesky factor of Toeplitz(Gamma(0..size-1)) + CHOLESKY_JITTER * I."""
     mat = model.covariance(size - 1).toeplitz_matrix(size)
-    if jitter:
-        mat = mat + jitter * np.eye(size)
-    return mat
-
-
-def cholesky_factor(model: CovarianceModel, size: int, jitter: float = 1e-12) -> np.ndarray:
-    """Lower Cholesky factor of the Toeplitz covariance, with diagonal jitter."""
-    return np.linalg.cholesky(sample_covariance_matrix(model, size, jitter=jitter))
+    return np.linalg.cholesky(mat + CHOLESKY_JITTER * np.eye(size))

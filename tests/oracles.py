@@ -3,10 +3,12 @@
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
 the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
-Toeplitz quadratic forms, the exact Kac-Rice mean for constant covariance
-from its closed-form moments, the Edelman-Kostlan density of real roots
-for independent coefficients in mpmath, the empirical lag covariance
-of a sample batch, and the range of a spectral density over a grid.
+Toeplitz quadratic forms and as spectral integrals of the geometric-sum
+kernel, their near-edge arctan forms, the exact Kac-Rice mean for constant
+covariance from its closed-form moments, the Edelman-Kostlan density of
+real roots for independent coefficients in mpmath, the empirical lag
+covariance of a sample batch, and the range of a spectral density over a
+grid.  A density f here is anything with a vectorized f.evaluate(phi).
 """
 
 import math
@@ -155,6 +157,77 @@ def toeplitz_moments(gamma, n, xs):
     return tuple(np.asarray((P * Q).sum(axis=0), dtype=float) for P, Q in ((V, TV), (V, TW), (W, TW)))
 
 
+def spectral_moments(n, f, x):
+    """A, B, C at x (|x| < 1) as integrals of f against the geometric-sum kernels.
+
+    With D(phi) = sum_{k<=n} (x e^{i phi})^k = (1 - (x e^{i phi})^{n+1})/(1 - x e^{i phi}),
+    A = int |D|^2 f, B = int Re(conj(D) dD/dx) f and C = int |dD/dx|^2 f
+    over [-pi, pi].  Periodic trapezoid rule with grid doubling until the
+    triple settles within 1e-11 relative; raises past 2^18 points.
+    """
+    if abs(x) >= 1.0:
+        raise ValueError(f"spectral moments require |x| < 1, got x = {x}")
+    npoints = 2048
+    prev = None
+    while npoints <= 1 << 18:
+        phi = -math.pi + 2.0 * math.pi * np.arange(npoints) / npoints
+        fvals = np.asarray(f.evaluate(phi), dtype=float)
+        s = np.exp(1j * phi)
+        num = 1.0 - (x * s) ** (n + 1)
+        den = 1.0 - x * s
+        D = num / den
+        dD = (-(n + 1) * x**n * s ** (n + 1) * den + num * s) / (den * den)
+        kernels = (np.abs(D) ** 2, (np.conj(D) * dD).real, np.abs(dD) ** 2)
+        cur = np.array([np.dot(k, fvals) for k in kernels]) * (2.0 * math.pi / npoints)
+        if prev is not None:
+            scale = np.maximum(np.abs(cur), np.abs(cur).max() * 1e-6)
+            if np.max(np.abs(cur - prev) / scale) <= 1e-11:
+                return float(cur[0]), float(cur[1]), float(cur[2])
+        prev = cur
+        npoints *= 2
+    raise ValueError(f"spectral moments did not converge at x = {x}, n = {n}")
+
+
+@dataclass(frozen=True)
+class MomentTriple:
+    """(A, B, C) at a point, possibly in scaled outer form.
+
+    scale_exponent p is 0 for plain values.  For the outer form (x = 1/z,
+    p = 2n) the true values are recovered as
+
+        A(1/z) = z^{-p} A,   B(1/z) = -z^{-p+1} B,   C(1/z) = z^{-p+2} C.
+    """
+
+    A: float
+    B: float
+    C: float
+    scale_exponent: int = 0
+
+    @property
+    def gram(self) -> float:
+        return self.A * self.C - self.B * self.B
+
+
+def edge_moment_approx(n, y, f, side=+1):
+    """Arctan forms of A, B, C at x = side * (1 - y) in the near-edge zone.
+
+    With L = log n / log log n the moments are A ~ (2 f / y) arctan(L),
+    B ~ side (f / y^2) arctan(L) and C ~ (f / y^3) arctan(L), where f is the
+    density at phi = 0 (side = +1) or phi = pi (side = -1).  Valid for
+    log log n / n < y < 1/log n; raises outside that zone.
+    """
+    if side not in (+1, -1):
+        raise ValueError(f"side must be +1 or -1, got {side}")
+    lo = math.log(math.log(n)) / n
+    hi = 1.0 / math.log(n)
+    if not lo < y < hi:
+        raise ValueError(f"y = {y} outside the edge zone ({lo:.3e}, {hi:.3e}) for n = {n}")
+    phi = 0.0 if side == +1 else math.pi
+    fv = float(np.asarray(f.evaluate(np.array([phi])))[0])
+    at = math.atan(math.log(n) / math.log(math.log(n)))
+    return MomentTriple(A=2.0 * fv / y * at, B=side * fv / (y * y) * at, C=fv / y**3 * at)
+
+
 def erf_integral(x):
     """The unnormalized error integral int_0^x exp(-t^2) dt."""
     return 0.5 * math.sqrt(math.pi) * math.erf(x)
@@ -187,8 +260,8 @@ def _gram_and_expfactor(A, B, C, K, exp_arg_num):
 def integrand(e, m, at_reciprocal=False, z=None):
     """F1, F2 of the crossing-intensity formula at one point, in scalar math.
 
-    e needs .n and .level; m needs .A, .B, .C and .scale_exponent (0 for
-    a plain triple, 2n for the scaled outer triple at x = 1/z).  Plain
+    e needs .n and .level; m is a MomentTriple, with scale_exponent 0 for
+    a plain triple and 2n for the scaled outer triple at x = 1/z.  Plain
     form, per unit x:
 
         F1 = (1/pi) sqrt(AC-B^2)/A * exp(-K^2 C / (2(AC-B^2)))

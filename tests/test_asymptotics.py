@@ -7,14 +7,14 @@ import pytest
 
 from levelcross.asymptotics import (
     AsymptoticPrediction,
-    EdgeZoom,
-    edge_moment_approx,
     fit_log_slope,
     theorem_prediction,
 )
-from levelcross.moments import PolynomialEnsemble, moments_spectral
+from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import CrossingRow, IntervalSpec
 from levelcross.spectrum import CovarianceModel, geometric_density, independent_density
+
+from oracles import edge_moment_approx, spectral_moments
 
 
 # -- theorem_prediction --------------------------------------------------------
@@ -52,19 +52,13 @@ def test_prediction_out_of_regime():
         theorem_prediction(100, 0.0, "K_bounded", "sideways")
 
 
-# -- edge zoom -----------------------------------------------------------------
-
-
-def test_edge_zoom_fields():
-    z = EdgeZoom(y=1e-3, n=10**6)
-    assert z.g == pytest.approx(1e-3 * math.log(10**6) / math.log(math.log(10**6)))
-    assert z.slope_ratio == pytest.approx(math.log(10**6) / math.log(math.log(10**6)))
+# -- edge arctan forms (oracle) --------------------------------------------------
 
 
 def test_edge_approx_independent_value():
     n = 10**6
     y = 1e-3
-    m = edge_moment_approx(EdgeZoom(y=y, n=n), independent_density())
+    m = edge_moment_approx(n, y, independent_density())
     L = math.log(n) / math.log(math.log(n))
     assert m.A == pytest.approx(math.atan(L) / (math.pi * y), rel=1e-12)
     assert m.B == pytest.approx(m.A / (2.0 * y), rel=1e-12)
@@ -73,14 +67,14 @@ def test_edge_approx_independent_value():
 
 def test_edge_approx_gram_ratio():
     # sqrt(AC - B^2)/A collapses to 1/(2y) identically in the arctan form.
-    m = edge_moment_approx(EdgeZoom(y=1e-3, n=10**6), independent_density())
+    m = edge_moment_approx(10**6, 1e-3, independent_density())
     assert math.sqrt(m.gram) / m.A == pytest.approx(1.0 / (2.0 * 1e-3), rel=1e-12)
 
 
 def test_edge_approx_negative_side_flips_b():
     f = geometric_density(0.5)
-    plus = edge_moment_approx(EdgeZoom(y=1e-3, n=10**6, side=1), f)
-    minus = edge_moment_approx(EdgeZoom(y=1e-3, n=10**6, side=-1), f)
+    plus = edge_moment_approx(10**6, 1e-3, f, side=1)
+    minus = edge_moment_approx(10**6, 1e-3, f, side=-1)
     assert plus.B > 0 > minus.B
     # The minus side is driven by f(pi), the plus side by f(0).
     ratio = minus.A / plus.A
@@ -89,9 +83,9 @@ def test_edge_approx_negative_side_flips_b():
 
 def test_edge_approx_zone_enforced():
     with pytest.raises(ValueError):
-        edge_moment_approx(EdgeZoom(y=0.5, n=10**6), independent_density())
+        edge_moment_approx(10**6, 0.5, independent_density())
     with pytest.raises(ValueError):
-        edge_moment_approx(EdgeZoom(y=1e-9, n=10**6), independent_density())
+        edge_moment_approx(10**6, 1e-9, independent_density())
 
 
 def test_edge_approx_vs_exact_quadrature():
@@ -102,7 +96,7 @@ def test_edge_approx_vs_exact_quadrature():
     y = 1e-3
     e = PolynomialEnsemble(n=n, model=CovarianceModel.independent())
     exact_A = (1.0 - (1.0 - y) ** (2 * n + 2)) / (1.0 - (1.0 - y) ** 2)
-    m = edge_moment_approx(EdgeZoom(y=y, n=n), independent_density())
+    m = edge_moment_approx(n, y, independent_density())
     L = math.log(n) / math.log(math.log(n))
     deficit = math.atan(L) / (math.pi / 2.0)
     assert m.A / exact_A == pytest.approx(deficit, rel=2e-2)
@@ -113,7 +107,7 @@ def test_edge_approx_saturation():
     vals = []
     for n in (10**4, 10**8, 10**16):
         y = 0.5 / math.log(n)
-        m = edge_moment_approx(EdgeZoom(y=y, n=n), independent_density())
+        m = edge_moment_approx(n, y, independent_density())
         vals.append(m.A * y)
     target = math.pi / (2.0 * math.pi)
     assert abs(vals[-1] - target) < abs(vals[0] - target)
@@ -124,12 +118,11 @@ def test_edge_approx_spectral_oracle_small_n():
     # At modest n the same deficit relation holds against the spectral path.
     n = 300
     y = 0.1  # inside (loglog n / n, 1/log n) for n = 300
-    e = PolynomialEnsemble(n=n, model=CovarianceModel.independent())
-    exact = moments_spectral(e, independent_density(), 1.0 - y)
-    m = edge_moment_approx(EdgeZoom(y=y, n=n), independent_density())
+    exact_A, _, _ = spectral_moments(n, independent_density(), 1.0 - y)
+    m = edge_moment_approx(n, y, independent_density())
     L = math.log(n) / math.log(math.log(n))
     deficit = math.atan(L) / (math.pi / 2.0)
-    assert m.A / exact.A == pytest.approx(deficit, rel=0.25)
+    assert m.A / exact_A == pytest.approx(deficit, rel=0.25)
 
 
 # -- fit_log_slope ---------------------------------------------------------------

@@ -334,6 +334,13 @@ def test_n_spec_comma_list(capsys):
     assert [r["n"] for r in _rows(out)] == ["4", "8"]
 
 
+@pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2"])
+def test_bad_n_sweep_is_reported(capsys, spec):
+    # a start below 1 never passes stop, and stop < start sweeps nothing
+    assert main(["compute", "--n", spec, "--model", "independent"]) == 2
+    assert "error: n:" in capsys.readouterr().err
+
+
 def _golden_table(text):
     """Rows of a golden output as dicts: the JSON 'rows' or the CSV lines."""
     return json.loads(text)["rows"] if text.startswith("{") else _rows(text)

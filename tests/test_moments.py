@@ -8,25 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcross.moments import (
-    MomentTriple,
     PolynomialEnsemble,
     erf_integral,
     _smooth_length,
     moment_arrays,
-    moments_direct,
-    moments_outer_scaled,
-    moments_spectral,
     scaled_outer_from_inner,
-    unscale_moments,
 )
 from levelcross.spectrum import (
     CovarianceModel,
-    CovarianceSequence,
     geometric_density,
     independent_density,
 )
 
-from oracles import integrand, toeplitz_moments
+from oracles import MomentTriple, integrand, spectral_moments, toeplitz_moments
 
 
 def _ens(n, model=None, level=0.0):
@@ -37,41 +31,39 @@ def _ens(n, model=None, level=0.0):
 
 
 def test_direct_linear_independent():
-    gamma = CovarianceSequence((1.0,))
-    for x in (0.0, 0.5, -0.7, 2.0):
-        m = moments_direct(_ens(1), gamma, x)
-        assert m.A == pytest.approx(1.0 + x * x)
-        assert m.B == pytest.approx(x)
-        assert m.C == pytest.approx(1.0)
+    xs = np.array([0.0, 0.5, -0.7, 2.0])
+    A, B, C = moment_arrays(np.array([1.0, 0.0]), 1, xs)
+    assert A == pytest.approx(1.0 + xs * xs)
+    assert B == pytest.approx(xs)
+    assert C == pytest.approx(np.ones(4))
 
 
 def test_direct_linear_correlated():
     rho = 0.3
-    gamma = CovarianceSequence((1.0, rho))
-    for x in (0.0, 0.5, -1.5):
-        m = moments_direct(_ens(1), gamma, x)
-        assert m.A == pytest.approx(1.0 + 2 * rho * x + x * x)
-        assert m.B == pytest.approx(rho + x)
-        assert m.C == pytest.approx(1.0)
+    xs = np.array([0.0, 0.5, -1.5])
+    A, B, C = moment_arrays(np.array([1.0, rho]), 1, xs)
+    assert A == pytest.approx(1.0 + 2 * rho * xs + xs * xs)
+    assert B == pytest.approx(rho + xs)
+    assert C == pytest.approx(np.ones(3))
 
 
 def test_direct_quadratic_independent():
-    m = moments_direct(_ens(2), CovarianceSequence((1.0,)), 0.5)
-    assert m.A == pytest.approx(1.3125)  # 1 + x^2 + x^4
-    assert m.B == pytest.approx(0.75)  # x + 2x^3
-    assert m.C == pytest.approx(2.0)  # 1 + 4x^2
+    A, B, C = moment_arrays(np.array([1.0, 0.0, 0.0]), 2, np.array([0.5]))
+    assert A[0] == pytest.approx(1.3125)  # 1 + x^2 + x^4
+    assert B[0] == pytest.approx(0.75)  # x + 2x^3
+    assert C[0] == pytest.approx(2.0)  # 1 + 4x^2
 
 
 def test_moment_arrays_matches_direct():
+    # A batch gives each point the moments it gets on its own.
     gamma = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
     xs = np.array([-0.9, -0.3, 0.0, 0.4, 0.8])
     A, B, C = moment_arrays(gamma, 4, xs)
-    seq = CovarianceSequence(tuple(gamma))
     for i, x in enumerate(xs):
-        m = moments_direct(_ens(4), seq, float(x))
-        assert A[i] == pytest.approx(m.A, rel=1e-12)
-        assert B[i] == pytest.approx(m.B, rel=1e-12)
-        assert C[i] == pytest.approx(m.C, rel=1e-12)
+        a, b, c = moment_arrays(gamma, 4, np.array([x]))
+        assert A[i] == pytest.approx(a[0], rel=1e-12)
+        assert B[i] == pytest.approx(b[0], rel=1e-12)
+        assert C[i] == pytest.approx(c[0], rel=1e-12)
 
 
 def test_smooth_length_is_least_5_smooth_at_or_above():
@@ -103,56 +95,44 @@ def test_moment_arrays_matches_dense_toeplitz_oracle(model, n):
     assert np.all(np.abs(C - Co) <= 1e-12 * Co)
 
 
-# -- spectral path ----------------------------------------------------------
+# -- spectral oracle ----------------------------------------------------------
 
 
 def test_spectral_linear_matches_hand_expansion():
-    m = moments_spectral(_ens(1), geometric_density(0.5), 0.25)
-    assert m.A == pytest.approx(1.0 + 2 * 0.5 * 0.25 + 0.0625, rel=1e-10)
+    A, _, _ = spectral_moments(1, geometric_density(0.5), 0.25)
+    assert A == pytest.approx(1.0 + 2 * 0.5 * 0.25 + 0.0625, rel=1e-10)
 
 
 def test_spectral_matches_direct_n50():
-    e = _ens(50, CovarianceModel.geometric(0.5))
     f = geometric_density(0.5)
-    gamma = CovarianceModel.geometric(0.5).covariance(50)
-    ms = moments_spectral(e, f, 0.9)
-    md = moments_direct(e, gamma, 0.9)
-    assert ms.A == pytest.approx(md.A, rel=1e-8)
-    assert ms.B == pytest.approx(md.B, rel=1e-8)
-    assert ms.C == pytest.approx(md.C, rel=1e-8)
+    gamma = CovarianceModel.geometric(0.5).covariance(50).as_array(50)
+    As, Bs, Cs = spectral_moments(50, f, 0.9)
+    A, B, C = moment_arrays(gamma, 50, np.array([0.9]))
+    assert As == pytest.approx(A[0], rel=1e-8)
+    assert Bs == pytest.approx(B[0], rel=1e-8)
+    assert Cs == pytest.approx(C[0], rel=1e-8)
 
 
 # -- scaled outer moments ----------------------------------------------------
 
 
-def test_scaled_outer_small_n_unscales_to_direct():
-    e = _ens(1)
-    m = moments_outer_scaled(e, independent_density(), 0.5)
-    assert m.scale_exponent == 2
-    plain = unscale_moments(m, 0.5)
-    # x = 1/z = 2: A = 1 + 4 = 5
-    assert plain.A == pytest.approx(5.0, rel=1e-10)
-    assert m.A == pytest.approx(1.25, rel=1e-10)  # z^2 * A(2)
+def _outer_scaled(n, f, z):
+    """The scaled triple at x = 1/z from the spectral oracle's moments at z."""
+    At, Bt, Ct = scaled_outer_from_inner(n, z, *spectral_moments(n, f, z))
+    return MomentTriple(A=At, B=Bt, C=Ct, scale_exponent=2 * n)
 
 
 def test_scaled_outer_geometric_sum_oracle():
     # Independent coefficients: A(2) = sum 4^k = (4^11 - 1)/3 for n = 10.
-    e = _ens(10)
-    m = moments_outer_scaled(e, independent_density(), 0.5)
+    m = _outer_scaled(10, independent_density(), 0.5)
     assert m.A == pytest.approx(0.5**20 * (4**11 - 1) / 3, rel=1e-12)
 
 
 def test_scaled_outer_near_edge_is_finite_and_psd():
-    e = _ens(200, CovarianceModel.geometric(0.5))
-    m = moments_outer_scaled(e, geometric_density(0.5), 0.99)
+    m = _outer_scaled(200, geometric_density(0.5), 0.99)
     assert math.isfinite(m.A) and m.A > 0
     assert math.isfinite(m.C) and m.C > 0
     assert m.gram >= 0.0
-
-
-def test_scaled_outer_rejects_zero():
-    with pytest.raises(ValueError):
-        moments_outer_scaled(_ens(5), independent_density(), 0.0)
 
 
 @given(
@@ -221,13 +201,13 @@ def test_integrand_matches_conditional_expectation_density():
 def test_integrand_transformed_consistent_with_plain():
     # Per-unit-z value must equal the plain integrand at x = 1/z times 1/z^2.
     model = CovarianceModel.geometric(0.5)
-    gamma = model.covariance(12)
+    gamma = model.covariance(12).as_array(12)
     e = _ens(12, model, level=1.5)
     z = 0.6
-    mt = moments_outer_scaled(e, geometric_density(0.5), z)
+    mt = _outer_scaled(12, geometric_density(0.5), z)
     vt = integrand(e, mt, at_reciprocal=True, z=z)
-    mp = moments_direct(e, gamma, 1.0 / z)
-    vp = integrand(e, mp)
+    A, B, C = (float(v[0]) for v in moment_arrays(gamma, 12, np.array([1.0 / z])))
+    vp = integrand(e, MomentTriple(A=A, B=B, C=C))
     assert vt.F1 == pytest.approx(vp.F1 / z**2, rel=1e-9)
     assert vt.F2 == pytest.approx(vp.F2 / z**2, rel=1e-9)
 

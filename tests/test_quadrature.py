@@ -19,7 +19,7 @@ from levelcross.quadrature import (
 )
 from levelcross.spectrum import CovarianceModel
 
-from oracles import constant_covariance_crossings, edelman_kostlan_density, integrand
+from oracles import MomentTriple, constant_covariance_crossings, edelman_kostlan_density, integrand
 
 
 def _ens(n, model=None, level=0.0):
@@ -164,6 +164,19 @@ def test_f1_matches_edelman_kostlan(n):
         np.testing.assert_allclose(F1, exact, rtol=1e-13, atol=0.0)
 
 
+WILKINS_CONSTANT = 0.6257358072
+
+
+@pytest.mark.parametrize("n", [2**10, 2**12, 2**14])
+def test_independent_full_line_matches_wilkins(n):
+    # Wilkins: E[N_n] = (2/pi) log n + 0.6257358072 + 2/(n pi) + O(n^-2)
+    # real roots for independent coefficients (K = 0).
+    est = expected_crossings(_ens(n), FULL_LINE)
+    wilkins = 2.0 / math.pi * math.log(n) + WILKINS_CONSTANT + 2.0 / (n * math.pi)
+    assert not est.flagged
+    assert abs(est.value - wilkins) <= est.abs_err + 1.0 / n**2
+
+
 def test_degree_limit_admits_2_to_18():
     ev = KacRiceEvaluator(_ens(MAX_DEGREE))
     assert MAX_DEGREE == 262144
@@ -173,7 +186,7 @@ def test_degree_limit_admits_2_to_18():
 
 
 def test_evaluator_batches_match_scalar_integrand():
-    from levelcross.moments import MomentTriple, moment_arrays
+    from levelcross.moments import moment_arrays
 
     model = CovarianceModel.geometric(0.5)
     e = _ens(15, model, level=1.0)
@@ -189,7 +202,7 @@ def test_evaluator_batches_match_scalar_integrand():
 
 
 def test_evaluator_transformed_matches_scalar_integrand():
-    from levelcross.moments import MomentTriple, moment_arrays, scaled_outer_from_inner
+    from levelcross.moments import moment_arrays, scaled_outer_from_inner
 
     model = CovarianceModel.geometric(0.5)
     e = _ens(15, model, level=1.0)
@@ -249,17 +262,17 @@ def test_interval_bounds_are_floats():
 def test_transformed_covers_outer_mass():
     # Outer tails via the z-transform must agree with brute quadrature on
     # a finite chunk of the tail evaluated in plain coordinates.
-    from levelcross.moments import moments_direct
+    from levelcross.moments import moment_arrays
 
     model = CovarianceModel.geometric(0.5)
     e = _ens(8, model, level=1.0)
     est = expected_crossings(e, IntervalSpec(1.25, 4.0))
-    gamma = model.covariance(8)
+    gamma = model.covariance(8).as_array(8)
     xs, ws = np.polynomial.legendre.leggauss(200)
     xs = 2.625 + 1.375 * xs
     total = 0.0
-    for x, w in zip(xs, ws):
-        v = integrand(e, moments_direct(e, gamma, float(x)))
+    for x, w, A, B, C in zip(xs, ws, *moment_arrays(gamma, 8, xs)):
+        v = integrand(e, MomentTriple(A=float(A), B=float(B), C=float(C)))
         total += 1.375 * w * (v.F1 + v.F2)
     assert est.value == pytest.approx(total, rel=1e-8)
 

@@ -12,13 +12,13 @@ from levelcross.spectrum import (
     CovarianceModel,
     CovarianceSequence,
     SpectralDensity,
+    CHOLESKY_JITTER,
     cholesky_factor,
     covariance_from_density,
     density_from_covariance,
     geometric_density,
     independent_density,
     raised_cosine_density,
-    sample_covariance_matrix,
 )
 
 from oracles import positivity_bounds
@@ -181,7 +181,7 @@ def test_geometric_rho_range():
 
 
 def test_sample_covariance_matrix_positive_definite():
-    cov = sample_covariance_matrix(CovarianceModel.geometric(0.9), 20)
+    cov = CovarianceModel.geometric(0.9).covariance(19).toeplitz_matrix(20)
     w = np.linalg.eigvalsh(cov)
     assert w.min() > 0
 
@@ -189,7 +189,7 @@ def test_sample_covariance_matrix_positive_definite():
 def test_cholesky_factor_reconstructs():
     model = CovarianceModel.geometric(0.5)
     L = cholesky_factor(model, 8)
-    np.testing.assert_allclose(L @ L.T, sample_covariance_matrix(model, 8), atol=1e-10)
+    np.testing.assert_allclose(L @ L.T, model.covariance(7).toeplitz_matrix(8), atol=1e-10)
 
 
 
@@ -200,7 +200,8 @@ def test_dense_factor_matches_scipy(size):
     model = CovarianceModel.geometric(0.9)
     seq = model.covariance(size - 1)
     np.testing.assert_array_equal(seq.toeplitz_matrix(size), linalg.toeplitz(seq.as_array(size - 1)))
-    want = linalg.cholesky(sample_covariance_matrix(model, size, jitter=1e-12), lower=True)
+    jittered = seq.toeplitz_matrix(size) + CHOLESKY_JITTER * np.eye(size)
+    want = linalg.cholesky(jittered, lower=True)
     assert np.max(np.abs(cholesky_factor(model, size) - want)) <= 1e-13 * np.max(np.abs(want))
 
 @given(st.floats(min_value=0.01, max_value=0.95), st.integers(min_value=1, max_value=12))
