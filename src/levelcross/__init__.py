@@ -31,15 +31,6 @@ from .quadrature import (
     crossing_table,
     expected_crossings,
 )
-from .spectrum import (
-    CovarianceModel,
-    CovarianceSequence,
-    SpectralDensity,
-    covariance_from_density,
-    density_from_covariance,
-    geometric_density,
-    independent_density,
-    raised_cosine_density,
-)
+from .spectrum import CovarianceModel
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .asymptotics import fit_log_slope, interval_prediction
@@ -64,13 +65,19 @@ def _parse_n_spec(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _parse_k_rule(text: str):
-    """'fixed:K' (or a bare number) or 'growing:c' for K(n) = c sqrt(n/loglog n)/log n."""
+def _parse_k_rule(text: str, n_list: list[int]):
+    """'fixed:K' (or a bare number) or 'growing:c' for K(n) = c sqrt(n/loglog n)/log n.
+
+    The growing rule needs log log n > 0, so every n of n_list must be at least 3.
+    """
     name, _, arg = text.partition(":")
     if name == "fixed":
         return float(arg)
     if name == "growing":
         c = float(arg)
+        small = [n for n in n_list if n < 3]
+        if small:
+            raise ValueError(f"growing:c needs log log n > 0, so n >= 3; got n = {small[0]}")
         return lambda n: c * math.sqrt(n / math.log(math.log(n))) / math.log(n)
     return float(text)
 
@@ -80,7 +87,7 @@ class RunConfig:
     command: str
     n_list: list
     level: float | None
-    k_rule_text: str | None
+    k_rule: float | Callable[[int], float] | None
     model_text: str
     intervals: list
     tol: float
@@ -179,7 +186,7 @@ def _compare_rows(cfg: RunConfig) -> list[dict]:
 
 def _sweep(cfg: RunConfig) -> tuple[list[dict], list[str]]:
     model = CovarianceModel.parse(cfg.model_text)
-    k_rule = _parse_k_rule(cfg.k_rule_text) if cfg.k_rule_text else cfg.level
+    k_rule = cfg.level if cfg.k_rule is None else cfg.k_rule
     rows = crossing_table(model, cfg.n_list, k_rule, cfg.intervals, tol=cfg.tol)
     dicts = [_row_dict(r, "kac_rice") for r in rows]
     comments = []
@@ -231,6 +238,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A generator key: an integer in [0, 2**128)."""
+    seed = _integer(value)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"expected an integer in [0, 2**128), got {seed}")
+    return seed
+
+
 def _typed(key, convert, value):
     """convert(value), None kept; a wrong JSON type or a bad value names its field."""
     if value is None:
@@ -271,16 +286,18 @@ def _load_config(args) -> RunConfig:
     if not isinstance(intervals_raw, list):
         intervals_raw = [intervals_raw]
 
+    n_list = _typed("n", lambda v: _parse_n_spec(str(v)), n_text)
     return RunConfig(
         command=args.command,
-        n_list=_typed("n", lambda v: _parse_n_spec(str(v)), n_text),
+        n_list=n_list,
         level=_typed("k", float, pick(args.k, "k", 0.0)),
-        k_rule_text=_typed("k_rule", str, pick(getattr(args, "k_rule", None), "k_rule")),
+        k_rule=_typed("k_rule", lambda v: _parse_k_rule(str(v), n_list),
+                      pick(getattr(args, "k_rule", None), "k_rule")),
         model_text=_typed("model", str, model_text),
         intervals=[_typed("intervals", lambda v: IntervalSpec.parse(str(v)), t) for t in intervals_raw],
         tol=_typed("tol", float, pick(args.tol, "tol", 1e-6)),
         count=_typed("count", _integer, pick(getattr(args, "count", None), "count", 1000)),
-        seed=_typed("seed", _integer, pick(getattr(args, "seed", None), "seed", 0)),
+        seed=_typed("seed", _seed, pick(getattr(args, "seed", None), "seed", 0)),
         counter=_typed("counter", str, pick(getattr(args, "counter", None), "counter", "auto")),
         fmt=args.format,
         output=_typed("output", str, pick(args.output, "output")),
@@ -333,14 +350,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_interval_values(list(argv)))
+    cfg = None
     try:
         cfg = _load_config(args)
         return run(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        at = f" at n = {','.join(map(str, cfg.n_list))} with count = {cfg.count}" if cfg else ""
+        print(f"error: out of memory{at}", file=sys.stderr)
         return 2
 
 

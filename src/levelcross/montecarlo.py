@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import FULL_LINE, IntervalSpec
-from .spectrum import CovarianceModel, cholesky_factor
+from .spectrum import CovarianceModel, cholesky_factor, ring_spectrum
 
 _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
@@ -99,12 +99,11 @@ def _circulant_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray | None:
     m = 1
     while m < 4 * (n + 1):
         m *= 2
-    g = model.covariance(m // 2).as_array(m // 2)
-    ring = np.concatenate([g, g[-2:0:-1]])
-    lam = np.fft.fft(ring).real
-    if lam.min() < -1e-9:
+    try:
+        lam = np.clip(ring_spectrum(model.covariance(m // 2), m), 0.0, None)
+    except ValueError:
         return None
-    return np.clip(lam, 0.0, None)
+    return np.concatenate([lam, lam[-2:0:-1]])
 
 
 def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -> SampleBatch:

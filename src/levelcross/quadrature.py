@@ -145,7 +145,7 @@ class KacRiceEvaluator:
         self.ensemble = ensemble
         self.n = ensemble.n
         self.K = abs(ensemble.level)
-        self.gamma = ensemble.model.covariance(ensemble.n).as_array(ensemble.n)
+        self.gamma = ensemble.model.covariance(ensemble.n)
 
     def inner(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F1, F2 per unit x on (-1, 1)."""

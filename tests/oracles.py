@@ -7,13 +7,16 @@ Toeplitz quadratic forms and as spectral integrals of the geometric-sum
 kernel, their near-edge arctan forms, the exact Kac-Rice mean for constant
 covariance from its closed-form moments, the Edelman-Kostlan density of
 real roots for independent coefficients in mpmath, the empirical lag
-covariance of a sample batch, and the range of a spectral density over a
-grid.  A density f here is anything with a vectorized f.evaluate(phi).
+covariance of a sample batch, the flat, Poisson-kernel and raised-cosine
+spectral densities, the lags of a density by FFT, and the range of a
+density over a grid.  A density f here is anything with a vectorized
+f.evaluate(phi).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -120,6 +123,82 @@ def empirical_covariance(batch, lag):
         prods = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
     return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
 
+
+TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class SpectralDensity:
+    """A density on [-pi, pi]: a vectorized evaluate(phi) and bounds on its values."""
+
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    lower_bound: float = 0.0
+    upper_bound: float = math.inf
+
+
+def independent_density():
+    """Flat density 1/(2 pi): independent coefficients, Gamma = (1, 0, 0, ...)."""
+    c = 1.0 / TWO_PI
+    return SpectralDensity(lambda phi: np.full_like(np.asarray(phi, dtype=float), c), c, c)
+
+
+def geometric_density(rho):
+    """Poisson kernel (1 - rho^2) / (2 pi (1 - 2 rho cos(phi) + rho^2)): Gamma(k) = rho^|k|."""
+    def evaluate(phi):
+        return (1.0 - rho * rho) / (TWO_PI * (1.0 - 2.0 * rho * np.cos(phi) + rho * rho))
+    return SpectralDensity(evaluate, (1.0 - rho) / (1.0 + rho) / TWO_PI, (1.0 + rho) / (1.0 - rho) / TWO_PI)
+
+
+def raised_cosine_density():
+    """(1 + cos(phi)) / (2 pi): Gamma = (1, 1/2, 0, ...), touching zero at phi = +-pi."""
+    return SpectralDensity(lambda phi: (1.0 + np.cos(phi)) / TWO_PI, 0.0, 2.0 / TWO_PI)
+
+
+def covariance_from_density(f, m, tol=1e-12, max_points=1 << 20):
+    """Fourier coefficients Gamma(0..m) of the density f, as a float array.
+
+    Uses the periodic trapezoid rule (spectrally accurate for smooth f)
+    with doubling of the grid until lags stabilize below tol.
+    """
+    if m < 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    # At least 4 samples per resolved lag to stay clear of aliasing.
+    npoints = 4096
+    while npoints < 4 * (m + 1):
+        npoints *= 2
+    if 2 * npoints > max_points:
+        raise ValueError(
+            f"covariance to lag m = {m} needs grids of {npoints} and {2 * npoints} points "
+            f"to converge, beyond max_points = {max_points}"
+        )
+
+    ks = np.arange(m + 1)
+    signs = np.where(ks % 2 == 0, 1.0, -1.0)
+    prev = None
+    while npoints <= max_points:
+        phi = -math.pi + TWO_PI * np.arange(npoints) / npoints
+        coef = np.fft.fft(np.asarray(f.evaluate(phi), dtype=float))[: m + 1]
+        gam = (TWO_PI / npoints) * signs * coef
+        if np.max(np.abs(gam.imag)) > 1e-12:
+            raise ValueError(
+                "density is not even: covariance has imaginary residue "
+                f"{np.max(np.abs(gam.imag)):.3e} > 1e-12"
+            )
+        cur = gam.real
+        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
+            break
+        prev = cur
+        npoints *= 2
+    else:
+        raise ValueError("density too rough: covariance quadrature did not converge")
+
+    if abs(cur[0] - 1.0) > 1e-8:
+        raise ValueError(
+            f"density is not normalized: Gamma(0) = {cur[0]!r} differs from 1 by more than 1e-8"
+        )
+    cur = np.clip(cur, -1.0, 1.0)
+    cur[0] = 1.0
+    return cur
 
 
 def positivity_bounds(f, grid=1025):

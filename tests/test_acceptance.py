@@ -24,14 +24,10 @@ from levelcross.quadrature import (
     crossing_table,
     expected_crossings,
 )
-from levelcross.spectrum import (
-    CovarianceModel,
-    geometric_density,
-    independent_density,
-    raised_cosine_density,
-)
+from levelcross.spectrum import CovarianceModel
 
 from oracles import constant_covariance_crossings, spectral_moments, sturm_count
+from oracles import geometric_density, independent_density, raised_cosine_density
 
 DENSITIES = [
     ("independent", independent_density(), CovarianceModel.independent()),
@@ -62,7 +58,7 @@ def test_criterion_02_dual_path_moments():
     worst = 0.0
     for _, density, model in DENSITIES:
         for n in N_LIST:
-            gamma = model.covariance(n).as_array(n)
+            gamma = model.covariance(n)
             A, B, C = moment_arrays(gamma, n, GRID)
             for j, x in enumerate(GRID):
                 ms = spectral_moments(n, density, float(x))
@@ -86,7 +82,7 @@ def test_criterion_03_sandwich_bound():
         c1 = 2.0 * math.pi * density.upper_bound
         c2 = 2.0 * math.pi * density.lower_bound
         for n in N_LIST:
-            gamma = model.covariance(n).as_array(n)
+            gamma = model.covariance(n)
             A, _, _ = moment_arrays(gamma, n, GRID)
             S = np.array([(1.0 - x ** (2 * n + 2)) / (1.0 - x * x) for x in GRID])
             if np.any(A > c1 * S * (1 + slack)) or np.any(A < c2 * S * (1 - slack)):
@@ -107,7 +103,7 @@ def test_criterion_04_b_is_half_a_prime():
     checked = 0
     for _, _, model in DENSITIES:
         for n in N_LIST:
-            gamma = model.covariance(n).as_array(n)
+            gamma = model.covariance(n)
             A_plus, _, _ = moment_arrays(gamma, n, GRID + h)
             A_minus, _, _ = moment_arrays(gamma, n, GRID - h)
             _, B, _ = moment_arrays(gamma, n, GRID)

@@ -12,9 +12,9 @@ from levelcross.asymptotics import (
 )
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import CrossingRow, IntervalSpec
-from levelcross.spectrum import CovarianceModel, geometric_density, independent_density
+from levelcross.spectrum import CovarianceModel
 
-from oracles import edge_moment_approx, spectral_moments
+from oracles import edge_moment_approx, geometric_density, independent_density, spectral_moments
 
 
 # -- theorem_prediction --------------------------------------------------------

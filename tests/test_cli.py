@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -76,6 +77,19 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _src_env():
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_capped(argv):
+    """The CLI in a child process whose address space is capped at 2 GB, for at most 30 s."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    return subprocess.run([sys.executable, "-m", "levelcross.cli", *argv], env=_src_env(),
+                          preexec_fn=cap, capture_output=True, text=True, timeout=30)
 
 
 def _rows(csv_text):
@@ -292,18 +306,15 @@ def test_degree_above_quadrature_limit_is_refused(capsys, n):
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs start-up time and memory, and only the dense
     # sampler fallback needs it, so the CLI imports it on first use.
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, levelcross.cli; print('scipy.linalg' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+                          check=True)
     assert done.stdout.strip() == "False"
 
 
 
 def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: no command loads any scipy module.
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
 import contextlib, io, sys
 from levelcross.cli import main
@@ -319,8 +330,37 @@ for argv in runs:
         assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+                          check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_huge_monte_carlo_batch_is_refused():
+    done = _run_capped(["simulate", "--n", "1073741824", "--model", "independent", "--count", "100"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory at n = 1073741824 with count = 100\n"
+
+
+def test_long_custom_fourier_lags_are_checked_in_bounded_memory(tmp_path):
+    # Fejer lags 1 - k/N: their Fourier sum is the nonnegative Fejer kernel.
+    lags = ",".join(repr(1.0 - k / 100_000) for k in range(100_000))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": f"custom_fourier:{lags}"}))
+    done = _run_capped(["compute", "--config", str(cfg)])
+    assert done.returncode == 0, done.stderr
+    (row,) = _rows(done.stdout)
+    assert row["model"] == "fourier_sum" and row["flagged"] == "0"
+
+
+@pytest.mark.parametrize("lags, err", [
+    ("1,0.5", ""),
+    ("1,0.5,0.5", "error: covariance sequence does not define a nonnegative density: min -1.989e-02 < 0\n"),
+])
+def test_custom_fourier_positivity_decision(capsys, lags, err):
+    # 1 + cos(phi) touches zero and is kept; 1 + cos(phi) + cos(2 phi) dips to -1/8.
+    code = main(["compute", "--n", "8", "--model", f"custom_fourier:{lags}"])
+    assert (code, capsys.readouterr().err) == (2 if err else 0, err)
 
 def test_missing_n_is_reported(capsys):
     code = main(["compute", "--model", "independent", "--k", "0", "--interval", "-1..1"])
@@ -332,6 +372,19 @@ def test_n_spec_comma_list(capsys):
                               "--k", "0", "--interval", "-1..1"])
     assert code == 0
     assert [r["n"] for r in _rows(out)] == ["4", "8"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sweep", "--n", "1,2,4,8", "--k-rule", "growing:1"],
+     "k_rule: growing:c needs log log n > 0, so n >= 3; got n = 1"),
+    (["sweep", "--n", "4,8", "--k-rule", "growing:abc"], "k_rule: could not convert"),
+    (["simulate", "--n", "8", "--seed", "-1"], "seed: expected an integer in [0, 2**128), got -1"),
+])
+def test_bad_flag_value_names_its_field(capsys, argv, err):
+    assert main(argv + ["--model", "independent"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {err}")
 
 
 @pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2"])

@@ -27,3 +27,16 @@ def test_package_imports_are_exported_by_their_modules():
         exported = importlib.import_module(f"levelcross.{node.module}").__all__
         for alias in node.names:
             assert alias.name in exported, f"levelcross.{node.module} does not export {alias.name}"
+
+
+def test_oracles_import_nothing_from_the_package():
+    # An oracle that imported the package would check it against itself.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert all(name.partition(".")[0] != "levelcross" for name in names), names

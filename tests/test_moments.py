@@ -14,13 +14,10 @@ from levelcross.moments import (
     moment_arrays,
     scaled_outer_from_inner,
 )
-from levelcross.spectrum import (
-    CovarianceModel,
-    geometric_density,
-    independent_density,
-)
+from levelcross.spectrum import CovarianceModel
 
 from oracles import MomentTriple, integrand, spectral_moments, toeplitz_moments
+from oracles import geometric_density, independent_density
 
 
 def _ens(n, model=None, level=0.0):
@@ -87,7 +84,7 @@ ORACLE_XS = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0 - 1e-12, -(1.0 - 1e-12)])
 def test_moment_arrays_matches_dense_toeplitz_oracle(model, n):
     # The transform lengths are odd (15, 27 at n = 7, 13) and even, padded
     # (2n = 510 -> 512) and not; at x = +-1e-3 the powers underflow.
-    gamma = CovarianceModel.parse(model).covariance(n).as_array(n)
+    gamma = CovarianceModel.parse(model).covariance(n)
     A, B, C = moment_arrays(gamma, n, ORACLE_XS)
     Ao, Bo, Co = toeplitz_moments(gamma, n, ORACLE_XS)
     assert np.all(np.abs(A - Ao) <= 1e-12 * Ao)
@@ -105,7 +102,7 @@ def test_spectral_linear_matches_hand_expansion():
 
 def test_spectral_matches_direct_n50():
     f = geometric_density(0.5)
-    gamma = CovarianceModel.geometric(0.5).covariance(50).as_array(50)
+    gamma = CovarianceModel.geometric(0.5).covariance(50)
     As, Bs, Cs = spectral_moments(50, f, 0.9)
     A, B, C = moment_arrays(gamma, 50, np.array([0.9]))
     assert As == pytest.approx(A[0], rel=1e-8)
@@ -184,7 +181,7 @@ def test_integrand_matches_conditional_expectation_density():
     from scipy.stats import norm
 
     model = CovarianceModel.geometric(0.5)
-    gamma = model.covariance(50).as_array(50)
+    gamma = model.covariance(50)
     e = _ens(50, model, level=1.0)
     for x in (0.0, 0.3, -0.5, 0.8, -0.9):
         A, B, C = (float(v[0]) for v in moment_arrays(gamma, 50, np.array([x])))
@@ -201,7 +198,7 @@ def test_integrand_matches_conditional_expectation_density():
 def test_integrand_transformed_consistent_with_plain():
     # Per-unit-z value must equal the plain integrand at x = 1/z times 1/z^2.
     model = CovarianceModel.geometric(0.5)
-    gamma = model.covariance(12).as_array(12)
+    gamma = model.covariance(12)
     e = _ens(12, model, level=1.5)
     z = 0.6
     mt = _outer_scaled(12, geometric_density(0.5), z)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelcross.cli import main
 from levelcross.montecarlo import (
+    _circulant_eigenvalues,
     count_crossings_bisect_batch,
     count_level_crossings,
     estimate_crossings,
@@ -52,6 +54,31 @@ def test_sampling_unit_variance():
     batch = sample_coefficients(CovarianceModel.geometric(0.9), 16, 10**5, seed=2)
     est, se = empirical_covariance(batch, 0)
     assert abs(est - 1.0) <= 5.0 * se
+
+
+# Lags with a nonnegative Fourier sum whose sampler ring is not PSD at n = 1..7,
+# so sample_coefficients falls back to the dense Cholesky factor there.
+RING_NOT_PSD = [(1.0 - k / 21.0) * math.cos(0.3 * k) for k in range(21)]
+
+
+def test_dense_fallback_draws_the_toeplitz_covariance():
+    model = CovarianceModel.from_fourier(RING_NOT_PSD)
+    assert _circulant_eigenvalues(model, 5) is None
+    x = sample_coefficients(model, 5, 20_000, seed=7).coeffs
+    k = np.arange(6)
+    toeplitz = model.covariance(5)[np.abs(k[:, None] - k)]
+    se = np.sqrt((1.0 + toeplitz**2) / len(x))  # Var(x_i x_j) = 1 + Gamma(|i - j|)^2
+    assert np.all(np.abs(x.T @ x / len(x) - toeplitz) <= 5.0 * se)
+
+
+def test_dense_fallback_compare_agrees_with_quadrature(capsys):
+    model = "custom_fourier:" + ",".join(repr(g) for g in RING_NOT_PSD)
+    code = main(["compare", "--n", "5", "--model", model, "--count", "4000", "--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert code == 0 and len(rows) == 2
+    for row in rows:
+        assert row["flagged"] == "0" and abs(float(row["z"])) <= 5.0
 
 
 def test_sampling_seed_reproducible():

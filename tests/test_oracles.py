@@ -27,7 +27,7 @@ def test_constant_oracle_line_has_one_root(rho):
 @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("n", [10, 200])
 def test_constant_oracle_moments_match_direct(n, rho):
-    gamma = CovarianceModel.constant(rho).covariance(n).as_array(n)
+    gamma = CovarianceModel.constant(rho).covariance(n)
     A, B, C, D = constant_covariance_moments(n, rho, GRID)
     Ad, Bd, Cd = moment_arrays(gamma, n, GRID)
     for j in range(len(GRID)):

@@ -193,7 +193,7 @@ def test_evaluator_batches_match_scalar_integrand():
     ev = KacRiceEvaluator(e)
     xs = np.array([-0.8, -0.2, 0.1, 0.6, 0.95])
     F1, F2 = ev.inner(xs)
-    gamma = model.covariance(15).as_array(15)
+    gamma = model.covariance(15)
     A, B, C = moment_arrays(gamma, 15, xs)
     for i in range(xs.size):
         v = integrand(e, MomentTriple(A=float(A[i]), B=float(B[i]), C=float(C[i])))
@@ -208,7 +208,7 @@ def test_evaluator_transformed_matches_scalar_integrand():
     e = _ens(15, model, level=1.0)
     zs = np.array([-0.9, -0.4, 0.05, 0.5, 0.8])
     F1, F2 = KacRiceEvaluator(e).transformed(zs)
-    gamma = model.covariance(15).as_array(15)
+    gamma = model.covariance(15)
     for i, (A, B, C) in enumerate(zip(*moment_arrays(gamma, 15, zs))):
         At, Bt, Ct = scaled_outer_from_inner(15, float(zs[i]), A, B, C)
         v = integrand(e, MomentTriple(A=At, B=Bt, C=Ct, scale_exponent=30),
@@ -267,7 +267,7 @@ def test_transformed_covers_outer_mass():
     model = CovarianceModel.geometric(0.5)
     e = _ens(8, model, level=1.0)
     est = expected_crossings(e, IntervalSpec(1.25, 4.0))
-    gamma = model.covariance(8).as_array(8)
+    gamma = model.covariance(8)
     xs, ws = np.polynomial.legendre.leggauss(200)
     xs = 2.625 + 1.375 * xs
     total = 0.0
