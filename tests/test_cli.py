@@ -362,6 +362,7 @@ def test_custom_fourier_positivity_decision(capsys, lags, err):
     code = main(["compute", "--n", "8", "--model", f"custom_fourier:{lags}"])
     assert (code, capsys.readouterr().err) == (2 if err else 0, err)
 
+
 def test_missing_n_is_reported(capsys):
     code = main(["compute", "--model", "independent", "--k", "0", "--interval", "-1..1"])
     assert code == 2
