@@ -58,6 +58,16 @@ GOLDEN = {
         "simulate", "--n", "5,128", "--model", "constant:0.5", "--k", "1.5",
         "--count", "100", "--seed", "13", "--counter", "companion",
         "--interval", "-inf..inf", "--interval", "0.5..2", "--interval", "-1..1"],
+    "simulate_companion_geometric_json": [
+        "simulate", "--n", "5,40", "--model", "geometric:0.5", "--k", "1",
+        "--count", "100", "--seed", "2", "--counter", "companion",
+        "--interval", "-1..1", "--interval", "1..inf", "--format", "json"],
+    "compare_raised_cosine_n12_json": [
+        "compare", "--n", "12", "--model", "raised_cosine", "--k", "0.5",
+        "--count", "200", "--seed", "4", "--format", "json"],
+    "sweep_geometric_growing1_json": [
+        "sweep", "--n", "16:128:x2", "--model", "geometric:0.5", "--k-rule", "growing:1",
+        "--interval", "-inf..inf", "--format", "json"],
 }
 
 
