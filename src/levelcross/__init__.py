@@ -24,11 +24,9 @@ from .montecarlo import (
 from .quadrature import (
     Breakpoints,
     CrossingEstimate,
-    CrossingRow,
     FULL_LINE,
     IntervalSpec,
     breakpoints,
-    crossing_table,
     expected_crossings,
 )
 from .spectrum import CovarianceModel

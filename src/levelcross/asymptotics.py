@@ -92,25 +92,16 @@ def interval_prediction(n: int, K: float, spec) -> float | None:
     return total if covered else None
 
 
-def fit_log_slope(rows) -> tuple[float, float, float]:
-    """Least-squares fit of crossing value against ln n.
+def fit_log_slope(ns, values) -> tuple[float, float, float]:
+    """Least-squares fit of crossing values against ln n.
 
-    rows: iterable of objects with .n and .value attributes, or (n, value)
-    pairs.  Returns (slope, intercept, max_abs_residual); asymptotic laws
-    of the form (1/pi) log n show up as slope 1/pi.
+    Returns (slope, intercept, max_abs_residual); asymptotic laws of the
+    form (1/pi) log n show up as slope 1/pi.
     """
-    pts = []
-    for row in rows:
-        if hasattr(row, "n") and hasattr(row, "value"):
-            pts.append((row.n, row.value))
-        else:
-            n, value = row
-            pts.append((n, value))
-    if len(pts) < 4:
-        raise ValueError(f"slope fit needs at least 4 rows, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    vals = np.array([p[1] for p in pts], dtype=float)
-    logn = np.log(ns)
+    if len(ns) < 4:
+        raise ValueError(f"slope fit needs at least 4 rows, got {len(ns)}")
+    logn = np.log(np.asarray(ns, dtype=float))
+    vals = np.asarray(values, dtype=float)
     slope, intercept = np.polyfit(logn, vals, 1)
     resid = vals - (slope * logn + intercept)
     return float(slope), float(intercept), float(np.max(np.abs(resid)))

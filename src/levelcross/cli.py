@@ -7,9 +7,14 @@ Subcommands:
 * compare  -- both, with z-scores (mc - quadrature) / mc_err
 * sweep    -- crossing table over an n-list plus a log-slope summary
 
-Output is CSV (fixed column order, 17 significant digits) or JSON records
-with identical field names.  Intervals use 'a..b' with -inf/inf tokens;
-n-sweeps use 'start:stop:x2' (dyadic) or comma lists.
+Every command builds its rows in one loop: for each n it sets K = K(n),
+draws one Monte Carlo batch for simulate and compare, and writes one row
+per interval.  K(n) comes from --k-rule, then --k, then the config's
+k_rule, then its k, then 0; 'fixed:K' and 'growing:c' rules apply to
+every command.  Output is CSV (fixed column order, 17 significant digits)
+or JSON records with identical field names.  Intervals use 'a..b' with
+-inf/inf tokens; degrees use 'start:stop:x2' (dyadic) or comma lists,
+each >= 1 and strictly ascending.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from .asymptotics import fit_log_slope, interval_prediction
 from .montecarlo import estimate_crossings_per_interval
 from .moments import PolynomialEnsemble
-from .quadrature import CrossingRow, IntervalSpec, crossing_table, expected_crossings
+from .quadrature import IntervalSpec, expected_crossings
 from .spectrum import CovarianceModel
 
 COLUMNS = [
@@ -45,6 +50,7 @@ def _fmt(value) -> str:
 
 
 def _parse_n_spec(text: str) -> list[int]:
+    """Degrees from a comma list or a sweep 'start:stop:xF': each >= 1, strictly ascending."""
     if ":" in text:
         start_s, stop_s, step_s = text.split(":")
         if not step_s.startswith("x"):
@@ -52,42 +58,44 @@ def _parse_n_spec(text: str) -> list[int]:
         start, stop, factor = int(start_s), int(stop_s), int(step_s[1:])
         if factor < 2:
             raise ValueError("n sweep factor must be >= 2")
-        if start < 1:
-            raise ValueError(f"n sweep must start at a degree >= 1, got {start}")
         if stop < start:
             raise ValueError(f"n sweep {text!r} is empty: stop {stop} < start {start}")
-        out = []
-        n = start
-        while n <= stop:
-            out.append(n)
-            n *= factor
-        return out
-    return [int(tok) for tok in text.split(",")]
+        ns = [start]
+        while start >= 1 and ns[-1] * factor <= stop:
+            ns.append(ns[-1] * factor)
+    else:
+        ns = [int(tok) for tok in text.split(",")]
+    if min(ns) < 1:
+        raise ValueError(f"degree must be >= 1, got {min(ns)}")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"degrees must be strictly ascending, got {text!r}")
+    return ns
 
 
-def _parse_k_rule(text: str, n_list: list[int]):
-    """'fixed:K' (or a bare number) or 'growing:c' for K(n) = c sqrt(n/loglog n)/log n.
+def _parse_k_rule(text: str, n_list: list[int]) -> Callable[[int], float]:
+    """n -> K from 'fixed:K' (or a bare number) or 'growing:c', K(n) = c sqrt(n/loglog n)/log n.
 
-    The growing rule needs log log n > 0, so every n of n_list must be at least 3.
+    The growing rule needs log log n > 0, so the smallest n of n_list must be at least 3.
     """
     name, _, arg = text.partition(":")
-    if name == "fixed":
-        return float(arg)
     if name == "growing":
         c = float(arg)
-        small = [n for n in n_list if n < 3]
-        if small:
-            raise ValueError(f"growing:c needs log log n > 0, so n >= 3; got n = {small[0]}")
+        if n_list[0] < 3:
+            raise ValueError(f"growing:c needs log log n > 0, so n >= 3; got n = {n_list[0]}")
         return lambda n: c * math.sqrt(n / math.log(math.log(n))) / math.log(n)
-    return float(text)
+    return _fixed_level(arg if name == "fixed" else text)
+
+
+def _fixed_level(value) -> Callable[[int], float]:
+    level = float(value)
+    return lambda n: level
 
 
 @dataclass
 class RunConfig:
     command: str
     n_list: list
-    level: float | None
-    k_rule: float | Callable[[int], float] | None
+    k_rule: Callable[[int], float]
     model_text: str
     intervals: list
     tol: float
@@ -96,27 +104,6 @@ class RunConfig:
     counter: str
     fmt: str
     output: str | None
-
-
-def _row_dict(row: CrossingRow, method: str, err=None, value=None, extra=None) -> dict:
-    d = {
-        "n": row.n,
-        "K": row.level,
-        "model": row.model,
-        "interval_lo": row.interval.lo,
-        "interval_hi": row.interval.hi,
-        "method": method,
-        "value": row.value if value is None else value,
-        "err": row.abs_err if err is None else err,
-        "f1_part": row.f1_part,
-        "f2_part": row.f2_part,
-        "prediction": row.prediction,
-        "ratio": row.ratio,
-    }
-    if extra:
-        d.update(extra)
-    d["flagged"] = row.flagged
-    return d
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[str] = ()) -> None:
@@ -131,74 +118,57 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[st
         out.write(f"# {line}\n")
 
 
-def _quadrature_rows(cfg: RunConfig) -> list[dict]:
-    model = CovarianceModel.parse(cfg.model_text)
-    rows = crossing_table(model, cfg.n_list, cfg.level, cfg.intervals, tol=cfg.tol)
-    return [_row_dict(r, "kac_rice") for r in rows]
+METHODS = {"compute": "kac_rice", "sweep": "kac_rice", "simulate": "monte_carlo", "compare": "compare"}
 
 
-def _simulate_rows(cfg: RunConfig) -> list[dict]:
+def _table(cfg: RunConfig) -> list[dict]:
+    """One row per (n, interval): quadrature, a Monte Carlo estimate, or both for compare.
+
+    Each degree's Monte Carlo batch is drawn once and counted on every interval.
+    """
     model = CovarianceModel.parse(cfg.model_text)
-    out = []
+    sampled = cfg.command in ("simulate", "compare")
+    rows = []
     for n in cfg.n_list:
-        ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
-        ests = estimate_crossings_per_interval(ens, cfg.intervals, count=cfg.count,
+        K = cfg.k_rule(n)
+        ens = PolynomialEnsemble(n=n, model=model, level=K)
+        mcs = (estimate_crossings_per_interval(ens, cfg.intervals, count=cfg.count,
                                                seed=cfg.seed, counter=cfg.counter)
-        for spec, est in zip(cfg.intervals, ests):
-            pred = interval_prediction(n, cfg.level, spec)
-            out.append({
-                "n": n, "K": cfg.level, "model": model.label,
-                "interval_lo": spec.lo, "interval_hi": spec.hi,
-                "method": "monte_carlo",
-                "value": est.mean, "err": est.std_error,
-                "f1_part": None, "f2_part": None,
-                "prediction": pred,
-                "ratio": est.mean / pred if pred else None,
-                "flagged": est.flagged,
-            })
-    return out
-
-
-def _compare_rows(cfg: RunConfig) -> list[dict]:
-    model = CovarianceModel.parse(cfg.model_text)
-    out = []
-    for n in cfg.n_list:
-        ens = PolynomialEnsemble(n=n, model=model, level=cfg.level)
-        mcs = estimate_crossings_per_interval(ens, cfg.intervals, count=cfg.count,
-                                              seed=cfg.seed, counter=cfg.counter)
+               if sampled else [None] * len(cfg.intervals))
         for spec, mc in zip(cfg.intervals, mcs):
-            quad = expected_crossings(ens, spec, tol=cfg.tol)
-            pred = interval_prediction(n, cfg.level, spec)
-            z = (mc.mean - quad.value) / mc.std_error if mc.std_error > 0 else None
-            out.append({
-                "n": n, "K": cfg.level, "model": model.label,
+            quad = None if cfg.command == "simulate" else expected_crossings(ens, spec, tol=cfg.tol)
+            value, err = (mc.mean, mc.std_error) if sampled else (quad.value, quad.abs_err)
+            pred = interval_prediction(n, K, spec)
+            row = {
+                "n": n, "K": K, "model": model.label,
                 "interval_lo": spec.lo, "interval_hi": spec.hi,
-                "method": "compare",
-                "value": mc.mean, "err": mc.std_error,
-                "f1_part": quad.f1_part, "f2_part": quad.f2_part,
+                "method": METHODS[cfg.command],
+                "value": value, "err": err,
+                "f1_part": quad.f1_part if quad else None,
+                "f2_part": quad.f2_part if quad else None,
                 "prediction": pred,
-                "ratio": mc.mean / pred if pred else None,
-                "quad_value": quad.value, "z": z,
-                "flagged": quad.flagged or mc.flagged,
-            })
-    return out
+                "ratio": value / pred if pred else None,
+            }
+            if cfg.command == "compare":
+                row["quad_value"] = quad.value
+                row["z"] = (mc.mean - quad.value) / mc.std_error if mc.std_error > 0 else None
+            row["flagged"] = any(est.flagged for est in (quad, mc) if est)
+            rows.append(row)
+    return rows
 
 
-def _sweep(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    model = CovarianceModel.parse(cfg.model_text)
-    k_rule = cfg.level if cfg.k_rule is None else cfg.k_rule
-    rows = crossing_table(model, cfg.n_list, k_rule, cfg.intervals, tol=cfg.tol)
-    dicts = [_row_dict(r, "kac_rice") for r in rows]
-    comments = []
-    for spec in cfg.intervals:
-        sub = [r for r in rows if r.interval == spec]
+def _slope_lines(cfg: RunConfig, rows: list[dict]) -> list[str]:
+    """The log-slope fit of each interval's values, for intervals with at least 4 degrees."""
+    lines = []
+    for i, spec in enumerate(cfg.intervals):
+        sub = rows[i::len(cfg.intervals)]
         if len(sub) >= 4:
-            slope, intercept, resid = fit_log_slope(sub)
-            comments.append(
+            slope, intercept, resid = fit_log_slope([r["n"] for r in sub], [r["value"] for r in sub])
+            lines.append(
                 f"interval {spec}: slope={_fmt(slope)} intercept={_fmt(intercept)} "
                 f"max_resid={_fmt(resid)} target={_fmt(1.0 / math.pi)}"
             )
-    return dicts, comments
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,12 +257,15 @@ def _load_config(args) -> RunConfig:
         intervals_raw = [intervals_raw]
 
     n_list = _typed("n", lambda v: _parse_n_spec(str(v)), n_text)
+    # K(n): --k-rule, then --k, then the config's k_rule, then its k, then 0
+    key, k_value = next(((key, v) for key, v in (
+        ("k_rule", getattr(args, "k_rule", None)), ("k", args.k),
+        ("k_rule", file_cfg.get("k_rule")), ("k", file_cfg.get("k"))) if v is not None), ("k", 0.0))
     return RunConfig(
         command=args.command,
         n_list=n_list,
-        level=_typed("k", float, pick(args.k, "k", 0.0)),
-        k_rule=_typed("k_rule", lambda v: _parse_k_rule(str(v), n_list),
-                      pick(getattr(args, "k_rule", None), "k_rule")),
+        k_rule=_typed(key, lambda v: _parse_k_rule(str(v), n_list) if key == "k_rule" else _fixed_level(v),
+                      k_value),
         model_text=_typed("model", str, model_text),
         intervals=[_typed("intervals", lambda v: IntervalSpec.parse(str(v)), t) for t in intervals_raw],
         tol=_typed("tol", float, pick(args.tol, "tol", 1e-6)),
@@ -305,28 +278,15 @@ def _load_config(args) -> RunConfig:
 
 
 def run(cfg: RunConfig) -> int:
-    comments: list[str] = []
-    if cfg.command == "compute":
-        rows = _quadrature_rows(cfg)
-        columns = COLUMNS + ["flagged"]
-    elif cfg.command == "simulate":
-        rows = _simulate_rows(cfg)
-        columns = COLUMNS + ["flagged"]
-    elif cfg.command == "compare":
-        rows = _compare_rows(cfg)
-        columns = COLUMNS + COMPARE_EXTRA + ["flagged"]
-    elif cfg.command == "sweep":
-        rows, comments = _sweep(cfg)
-        columns = COLUMNS + ["flagged"]
-    else:
-        raise ValueError(f"unknown command {cfg.command!r}")
-
+    rows = _table(cfg)
+    columns = COLUMNS + (COMPARE_EXTRA if cfg.command == "compare" else []) + ["flagged"]
+    comments = _slope_lines(cfg, rows) if cfg.command == "sweep" else []
     if cfg.output:
         with open(cfg.output, "w") as fh:
             _emit(rows, columns, cfg.fmt, fh, comments)
     else:
         _emit(rows, columns, cfg.fmt, sys.stdout, comments)
-    return 1 if any(r.get("flagged") for r in rows) else 0
+    return 1 if any(r["flagged"] for r in rows) else 0
 
 
 def _glue_interval_values(argv: list) -> list:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import interval_prediction
 from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "Piece",
     "breakpoints",
     "expected_crossings",
-    "crossing_table",
-    "CrossingRow",
 ]
 
 # One 15-point moment batch holds O(n) work arrays: the process's peak RSS
@@ -278,53 +275,3 @@ def expected_crossings(
     return CrossingEstimate(value=value, abs_err=abs_err, pieces=tuple(pieces),
                             flagged=not abs_err <= tol or not math.isfinite(value))
 
-
-# ---------------------------------------------------------------------------
-# sweep tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossingRow:
-    n: int
-    level: float
-    model: str
-    interval: IntervalSpec
-    value: float
-    abs_err: float
-    f1_part: float
-    f2_part: float
-    prediction: float | None
-    ratio: float | None
-    flagged: bool = False
-
-
-def crossing_table(
-    model,
-    n_list,
-    k_rule,
-    intervals,
-    tol: float = 1e-6,
-) -> list:
-    """One CrossingRow per (n, interval).
-
-    k_rule is either a fixed level or a callable n -> K.
-    """
-    n_list = list(n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
-    rows = []
-    for n in n_list:
-        K = float(k_rule(n)) if callable(k_rule) else float(k_rule)
-        ens = PolynomialEnsemble(n=n, model=model, level=K)
-        for spec in intervals:
-            est = expected_crossings(ens, spec, tol=tol)
-            pred = interval_prediction(n, K, spec)
-            ratio = est.value / pred if pred else None
-            rows.append(CrossingRow(
-                n=n, level=K, model=model.label, interval=spec,
-                value=est.value, abs_err=est.abs_err,
-                f1_part=est.f1_part, f2_part=est.f2_part,
-                prediction=pred, ratio=ratio, flagged=est.flagged,
-            ))
-    return rows

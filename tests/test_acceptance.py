@@ -17,13 +17,7 @@ from levelcross.montecarlo import (
     estimate_crossings,
     estimate_crossings_per_interval,
 )
-from levelcross.quadrature import (
-    FULL_LINE,
-    CrossingRow,
-    IntervalSpec,
-    crossing_table,
-    expected_crossings,
-)
+from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
 from levelcross.spectrum import CovarianceModel
 
 from oracles import constant_covariance_crossings, spectral_moments, sturm_count
@@ -137,20 +131,12 @@ def test_criterion_05_monte_carlo_vs_quadrature():
 def test_criterion_06_log_slope():
     ns = [2**k for k in range(7, 14)]
     model = CovarianceModel.independent()
-    inner_rows = crossing_table(model, ns, 0.0, [IntervalSpec(-1.0, 1.0)])
-    tails = crossing_table(
-        model, ns, 0.0, [IntervalSpec(1.0, math.inf), IntervalSpec(-math.inf, -1.0)]
-    )
-    outer_rows = []
-    for n in ns:
-        val = sum(r.value for r in tails if r.n == n)
-        outer_rows.append(
-            CrossingRow(n=n, level=0.0, model="independent", interval=FULL_LINE,
-                        value=val, abs_err=0.0, f1_part=val, f2_part=0.0,
-                        prediction=None, ratio=None)
-        )
-    s_in, _, _ = fit_log_slope(inner_rows)
-    s_out, _, _ = fit_log_slope(outer_rows)
+    ensembles = [PolynomialEnsemble(n=n, model=model, level=0.0) for n in ns]
+    inner = [expected_crossings(e, IntervalSpec(-1.0, 1.0)).value for e in ensembles]
+    outer = [expected_crossings(e, IntervalSpec(1.0, math.inf)).value
+             + expected_crossings(e, IntervalSpec(-math.inf, -1.0)).value for e in ensembles]
+    s_in, _, _ = fit_log_slope(ns, inner)
+    s_out, _, _ = fit_log_slope(ns, outer)
     lo, hi = 0.9 / math.pi, 1.1 / math.pi
     ok = lo <= s_in <= hi and lo <= s_out <= hi
     _report(6, ok, f"inner slope {s_in:.4f}, outer slope {s_out:.4f}, "

@@ -11,7 +11,6 @@ from levelcross.asymptotics import (
     theorem_prediction,
 )
 from levelcross.moments import PolynomialEnsemble
-from levelcross.quadrature import CrossingRow, IntervalSpec
 from levelcross.spectrum import CovarianceModel
 
 from oracles import edge_moment_approx, geometric_density, independent_density, spectral_moments
@@ -128,28 +127,10 @@ def test_edge_approx_spectral_oracle_small_n():
 # -- fit_log_slope ---------------------------------------------------------------
 
 
-def _rows(ns, values):
-    return [
-        CrossingRow(
-            n=n,
-            level=0.0,
-            model="independent",
-            interval=IntervalSpec(-1.0, 1.0),
-            value=v,
-            abs_err=0.0,
-            f1_part=v,
-            f2_part=0.0,
-            prediction=None,
-            ratio=None,
-        )
-        for n, v in zip(ns, values)
-    ]
-
-
 def test_fit_recovers_exact_log_law():
     ns = [128, 256, 512, 1024, 2048]
     vals = [math.log(n) / math.pi + 0.3 for n in ns]
-    slope, intercept, resid = fit_log_slope(_rows(ns, vals))
+    slope, intercept, resid = fit_log_slope(ns, vals)
     assert slope == pytest.approx(1.0 / math.pi, rel=1e-12)
     assert intercept == pytest.approx(0.3, abs=1e-12)
     assert resid < 1e-12
@@ -157,14 +138,14 @@ def test_fit_recovers_exact_log_law():
 
 def test_fit_flat_rows_zero_slope():
     ns = [16, 32, 64, 128]
-    slope, _, _ = fit_log_slope(_rows(ns, [2.0] * 4))
+    slope, _, _ = fit_log_slope(ns, [2.0] * 4)
     assert slope == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fit_needs_four_rows():
     ns = [16, 32, 64]
     with pytest.raises(ValueError):
-        fit_log_slope(_rows(ns, [1.0, 2.0, 3.0]))
+        fit_log_slope(ns, [1.0, 2.0, 3.0])
 
 
 def test_prediction_dataclass_fields():

@@ -313,16 +313,6 @@ def test_degree_above_quadrature_limit_is_refused(capsys, n):
     assert peak < 1 << 20  # refused before any lag or moment array exists
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs start-up time and memory, and only the dense
-    # sampler fallback needs it, so the CLI imports it on first use.
-    code = "import sys, levelcross.cli; print('scipy.linalg' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "False"
-
-
-
 def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: no command loads any scipy module.
     code = """
@@ -398,11 +388,37 @@ def test_bad_flag_value_names_its_field(capsys, argv, err):
     assert captured.err.startswith(f"error: {err}")
 
 
-@pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2"])
+@pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2", "8,4", "4,4", "4,0"])
 def test_bad_n_sweep_is_reported(capsys, spec):
-    # a start below 1 never passes stop, and stop < start sweeps nothing
-    assert main(["compute", "--n", spec, "--model", "independent"]) == 2
-    assert "error: n:" in capsys.readouterr().err
+    # degrees are >= 1 and strictly ascending on every command; stop < start sweeps nothing
+    for command in ("compute", "simulate", "compare", "sweep"):
+        assert main([command, "--n", spec, "--model", "independent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n: ")
+
+
+GROWING_AT_8 = 1.5896929994689812  # growing:1 at n = 8: sqrt(8 / log log 8) / log 8
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate", "compare"])
+def test_config_k_rule_applies_to_every_command(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", "k_rule": "growing:1",
+                               "interval": "-1..1", "count": 100}))
+    code, out = _run(capsys, [command, "--config", str(cfg)])
+    assert code == 0
+    assert [float(r["K"]) for r in _rows(out)] == [GROWING_AT_8]
+
+
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_k_flag_beats_config_k_rule(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", "k_rule": "growing:1",
+                               "interval": "-1..1"}))
+    code, out = _run(capsys, [command, "--config", str(cfg), "--k", "0.5"])
+    assert code == 0
+    assert [r["K"] for r in _rows(out)] == ["0.5"]
 
 
 def _golden_table(text):

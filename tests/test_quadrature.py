@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levelcross.asymptotics import interval_prediction
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import (
     FULL_LINE,
@@ -14,7 +15,6 @@ from levelcross.quadrature import (
     IntervalSpec,
     KacRiceEvaluator,
     breakpoints,
-    crossing_table,
     expected_crossings,
 )
 from levelcross.spectrum import CovarianceModel
@@ -277,35 +277,20 @@ def test_transformed_covers_outer_mass():
     assert est.value == pytest.approx(total, rel=1e-8)
 
 
-# -- crossing_table ------------------------------------------------------------
-
-
-def test_table_single_row_delegates():
-    rows = crossing_table(CovarianceModel.independent(), [1], 0.0, [IntervalSpec(-1.0, 1.0)])
-    assert len(rows) == 1
-    assert rows[0].value == pytest.approx(0.5, abs=1e-6)
-    assert rows[0].n == 1 and rows[0].level == 0.0
+# -- degree sweeps ------------------------------------------------------------
 
 
 def test_table_value_grows_logarithmically():
     ns = [128, 256, 512, 1024]
-    rows = crossing_table(CovarianceModel.independent(), ns, 0.0, [IntervalSpec(-1.0, 1.0)])
-    vals = [r.value for r in rows]
+    spec = IntervalSpec(-1.0, 1.0)
+    vals = [expected_crossings(_ens(n), spec).value for n in ns]
     diffs = np.diff(vals)
     # Dyadic steps add roughly (1/pi) ln 2 each.
     np.testing.assert_allclose(diffs, math.log(2) / math.pi, rtol=0.25)
-    for r in rows:
-        assert r.prediction is not None and r.ratio is not None
+    for n in ns:
+        assert interval_prediction(n, 0.0, spec)  # a prediction, and so a ratio
 
 
 def test_table_outer_f2_is_small():
-    rows = crossing_table(
-        CovarianceModel.geometric(0.5), [512], 1.0, [IntervalSpec(1.0, math.inf)]
-    )
-    (row,) = rows
-    assert row.f2_part <= 0.05 * row.value
-
-
-def test_table_rejects_unsorted_n():
-    with pytest.raises(ValueError):
-        crossing_table(CovarianceModel.independent(), [8, 4], 0.0, [FULL_LINE])
+    est = expected_crossings(_ens(512, CovarianceModel.geometric(0.5), level=1.0), IntervalSpec(1.0, math.inf))
+    assert est.f2_part <= 0.05 * est.value
