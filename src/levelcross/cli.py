@@ -60,7 +60,7 @@ def _parse_n_spec(text: str) -> list[int]:
             raise ValueError("n sweep factor must be >= 2")
         if stop < start:
             raise ValueError(f"n sweep {text!r} is empty: stop {stop} < start {start}")
-        ns = [start]
+        ns = [start]  # a start below 1 never grows past stop; the check below names it
         while start >= 1 and ns[-1] * factor <= stop:
             ns.append(ns[-1] * factor)
     else:
