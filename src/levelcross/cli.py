@@ -12,9 +12,10 @@ draws one Monte Carlo batch for simulate and compare, and writes one row
 per interval.  K(n) comes from --k-rule, then --k, then the config's
 k_rule, then its k, then 0; 'fixed:K' and 'growing:c' rules apply to
 every command.  Output is CSV (fixed column order, 17 significant digits)
-or JSON records with identical field names.  Intervals use 'a..b' with
--inf/inf tokens; degrees use 'start:stop:x2' (dyadic) or comma lists,
-each >= 1 and strictly ascending.
+or strict JSON records with identical field names (an infinite interval
+bound is the string "-inf" or "inf", any other non-finite number null).
+Intervals use 'a..b' with -inf/inf tokens; degrees use 'start:stop:x2'
+(dyadic) or comma lists, each >= 1 and strictly ascending.
 """
 
 from __future__ import annotations
@@ -106,9 +107,20 @@ class RunConfig:
     output: str | None
 
 
+def _json_value(key: str, value):
+    """value as strict JSON: an infinite interval bound as the token "-inf"
+    or "inf" that --interval reads, any other non-finite float as null."""
+    if not isinstance(value, float) or math.isfinite(value):
+        return value
+    if key in ("interval_lo", "interval_hi") and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return None
+
+
 def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[str] = ()) -> None:
     if fmt == "json":
-        out.write(json.dumps({"rows": rows, "summary": list(comments)}, indent=2))
+        rows = [{k: _json_value(k, v) for k, v in row.items()} for row in rows]
+        out.write(json.dumps({"rows": rows, "summary": list(comments)}, indent=2, allow_nan=False))
         out.write("\n")
         return
     out.write(",".join(columns) + "\n")

@@ -21,16 +21,24 @@ Two counters are provided:
   the whole sample batch at once, O(n) per evaluation.  One fused Horner
   pass per live interval [a, b] (midpoint m, half-width h) gives P(m),
   P'(m) and the majorants S0, S1, S2 of |P|, |P'|, |P''| on
-  [-r, r], r = max(|a|, |b|).  Three certificates retire intervals: no
-  root when |P(m)| beats the second-order Taylor bound over [a, b];
-  at most one root when |P'(m)| > S2 h, which then counts the sign change
-  P(a), P(b); and, on each half after a split, no root when an endpoint
-  value exceeds S1 times the width.  A half narrower than 1e-12 (1 + |b|)
-  counts its sign change, so tangencies and root pairs closer than that
-  count as sign crossings.  For Gaussian samples this equals the
-  distinct-root count almost surely.  Used by the estimator at large
-  degree for speed; the two counters are cross-checked in the tests.  A
-  single polynomial is a batch of one row.
+  [-r, r], r = max(|a|, |b|).  Each bisection level runs one pass over
+  every live interval of the batch: the six sums of all intervals sit in
+  one stack, so a coefficient step is one gather, one multiply and one
+  add, about 3 numpy calls per coefficient per level whatever the number
+  of intervals.  Each sum keeps the order acc * x + next of a loop of its
+  own, so the results are bit for bit those of such loops, and the work
+  memory is 128 bytes per interval at any degree (chunks of about
+  _CHUNK_BYTES), beside the coefficient table and its absolute values,
+  32 (n + 1) bytes per sample with its reversal.  Three certificates
+  retire intervals: no root when |P(m)| beats the second-order Taylor
+  bound over [a, b]; at most one root when |P'(m)| > S2 h, which then
+  counts the sign change P(a), P(b); and, on each half after a split, no
+  root when an endpoint value exceeds S1 times the width.  A half
+  narrower than 1e-12 (1 + |b|) counts its sign change, so tangencies and
+  root pairs closer than that count as sign crossings.  For Gaussian
+  samples this equals the distinct-root count almost surely.  Used by the
+  estimator at large degree for speed; the two counters are cross-checked
+  in the tests.  A single polynomial is a batch of one row.
 
 estimate_crossings_per_interval draws one batch per (ensemble, seed) and
 returns one estimate per interval; estimate_crossings is its one-interval
@@ -51,8 +59,8 @@ _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
-_CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or gathered
-                        # coefficients beside their absolute values
+_CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
+                        # bisection's Horner accumulators
 
 __all__ = [
     "SampleBatch",
@@ -318,34 +326,37 @@ def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE
 def _fused_pass(table: np.ndarray, col: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One Horner pass per point: rows P(x), P'(x), S0(r), S1(r), S2(r).
 
-    table holds one polynomial per column, descending coefficients.  P(x)
-    uses the plain Horner order acc*x + c and P'(x) the derivative
-    recurrence; S0, S1 and S2 are the majorants sum |a_k| r^k,
-    sum k|a_k| r^(k-1) and sum k(k-1)|a_k| r^(k-2), which bound |P|, |P'|
-    and |P''| on [-r, r].  The two sides run stacked, the coefficients
-    beside their absolute values and x beside r, in chunks whose gathered
-    coefficients take about _CHUNK_BYTES.
+    table[j, 0, i] is coefficient j (descending) of polynomial i, and
+    table[j, 1, i] its absolute value.  P(x) uses the plain Horner order
+    acc*x + c and P'(x) the derivative recurrence; S0, S1 and S2 are the
+    majorants sum |a_k| r^k, sum k|a_k| r^(k-1) and sum k(k-1)|a_k| r^(k-2),
+    which bound |P|, |P'| and |P''| on [-r, r].
+
+    The accumulators of both sides sit in one stack acc[i, side, point]:
+    acc[1..3] hold the value, first-derivative and half-second-derivative
+    sums, at x on side 0 and at r on side 1, and acc[0] receives the next
+    coefficient row of every point.  So one Horner step over every point
+    is a gather, one multiply and one add, acc[1:] * (x, r) + acc[:3],
+    with each sum formed as acc * x + next just as in a separate loop per
+    sum: the five rows are bit for bit those of the scalar recurrences.
+    Two such stacks, 128 bytes per point whatever the degree, are the work
+    memory; points go in chunks of about _CHUNK_BYTES of it.
     """
-    d = table.shape[0]
-    chunk = max(1, min(len(col), _CHUNK_BYTES // (16 * d)))
-    coef = np.empty((d, 2, chunk))
+    chunk = max(1, min(len(col), _CHUNK_BYTES // 128))
     out = np.empty((5, len(col)))
     for s in range(0, len(col), chunk):
-        k = min(chunk, len(col) - s)
-        g = coef[:, :, :k]
-        # mode="clip" lets take write into the strided view unbuffered
-        np.take(table, col[s : s + k], axis=1, out=g[:, 0], mode="clip")
-        np.abs(g[:, 0], out=g[:, 1])
-        xr = np.stack([x[s : s + k], r[s : s + k]])
-        acc0, acc1, acc2 = g[0].copy(), np.zeros_like(xr), np.zeros_like(xr)
-        for j in range(1, d):
-            acc2 *= xr
-            acc2 += acc1
-            acc1 *= xr
-            acc1 += acc0
-            acc0 *= xr
-            acc0 += g[j]
-        out[:, s : s + k] = acc0[0], acc1[0], acc0[1], acc1[1], 2.0 * acc2[1]
+        c = col[s : s + chunk]
+        xr = np.stack([x[s : s + chunk], r[s : s + chunk]])
+        acc, nxt = np.zeros((4, 2, len(c))), np.empty((4, 2, len(c)))
+        np.take(table[0], c, axis=1, out=acc[1], mode="clip")
+        for j in range(1, table.shape[0]):
+            # mode="clip" lets take write into acc[0] directly; "raise" buffers it
+            np.take(table[j], c, axis=1, out=acc[0], mode="clip")
+            np.multiply(acc[1:], xr, out=nxt[1:])
+            nxt[1:] += acc[:3]
+            acc, nxt = nxt, acc
+        sums = acc[1:]
+        out[:, s : s + chunk] = sums[0, 0], sums[1, 0], sums[0, 1], sums[1, 1], 2.0 * sums[2, 1]
     return out
 
 
@@ -353,8 +364,8 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
                           htol: float = 1e-12) -> np.ndarray:
     """Sign crossings of polynomial col[i] on (lo[i], hi[i]), by certified bisection.
 
-    table holds one polynomial per column, descending coefficients, with
-    |lo|, |hi| <= 1; returns the counts summed per column.  Each live
+    table is _fused_pass's (d, 2, polynomials) table, and |lo|, |hi| <= 1;
+    returns the counts summed per polynomial.  Each live
     interval [a, b], with midpoint m, half-width h and r = max(|a|, |b|),
     gets one fused evaluation, and with the Horner slack delta = 4 d eps:
 
@@ -366,7 +377,7 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
       once its width falls below htol (1 + |b|).
     """
     d = table.shape[0]
-    counts = np.zeros(table.shape[1], dtype=np.int64)
+    counts = np.zeros(table.shape[2], dtype=np.int64)
     if d < 2:
         return counts
     live = lo < hi
@@ -417,13 +428,15 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: Inter
     """
     c = np.asarray(coeffs, dtype=float)
     m, d = c.shape
-    # columns 0..m-1: descending coefficients; m..2m-1: the reversed
-    # polynomial, whose descending form is the ascending original
-    table = np.empty((d, 2 * m))
-    table[:, :m] = c[:, ::-1].T
-    table[:, m:] = c.T
-    table[-1, :m] -= K
-    table[0, m:] -= K
+    # polynomials 0..m-1: descending coefficients; m..2m-1: the reversed
+    # polynomial, whose descending form is the ascending original; each
+    # coefficient beside its absolute value
+    table = np.empty((d, 2, 2 * m))
+    table[:, 0, :m] = c[:, ::-1].T
+    table[:, 0, m:] = c.T
+    table[-1, 0, :m] -= K
+    table[0, 0, m:] -= K
+    np.abs(table[:, 0], out=table[:, 1])
     # one row (lo, hi, transformed) per part, m intervals each
     parts = np.array(spec.parts(), dtype=float).reshape(-1, 3)
     lo, hi, transformed = (np.repeat(v, m) for v in parts.T)

@@ -16,6 +16,7 @@ measure has an atom, so it has no density, but it has lags.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,7 +79,16 @@ class CovarianceModel:
         """Gamma(k) = rho^|k|, the lags of the Poisson kernel density."""
         if not 0.0 < rho < 1.0:
             raise ValueError(f"geometric model needs rho in (0,1), got {rho}")
-        return CovarianceModel(f"geometric:{rho:g}", lambda m: tuple(rho**k for k in range(m + 1)))
+
+        def lags(m: int) -> np.ndarray:
+            # rho**k underflows to exactly 0.0 and stays there, so the powers
+            # stop at the first zero and zeros pad the rest
+            powers = list(itertools.takewhile(bool, (rho**k for k in range(m + 1))))
+            out = np.zeros(m + 1)
+            out[: len(powers)] = powers
+            return out
+
+        return CovarianceModel(f"geometric:{rho:g}", lags)
 
     @staticmethod
     def raised_cosine() -> "CovarianceModel":

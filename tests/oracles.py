@@ -2,6 +2,7 @@
 
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
+the certified bisection's Horner pass as one loop step per coefficient,
 the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
 Toeplitz quadratic forms and as spectral integrals of the geometric-sum
 kernel, their near-edge arctan forms, the exact Kac-Rice mean for constant
@@ -109,6 +110,30 @@ def sturm_count(coeffs, lo, hi):
     lo = lo if lo in (math.inf, -math.inf) else Fraction(lo)
     hi = hi if hi in (math.inf, -math.inf) else Fraction(hi)
     return _variations(chain, lo) - _variations(chain, hi)
+
+
+def fused_pass_reference(table, col, x, r):
+    """Rows P(x), P'(x), S0(r), S1(r), S2(r) of polynomial col[i] at x[i], r[i].
+
+    table holds one polynomial per column, descending coefficients.  The
+    certified bisection's Horner pass with each sum updated by its own
+    statements: P and its majorant S0 by acc * x + c, P' and S1 by the
+    derivative recurrence, S2 / 2 by the next one, on [coefficients,
+    |coefficients|] beside [x, r].  The package's stacked pass must equal
+    it bit for bit.
+    """
+    g = table[:, col]
+    coef = np.stack([g, np.abs(g)], axis=1)
+    xr = np.stack([x, r])
+    acc0, acc1, acc2 = coef[0].copy(), np.zeros_like(xr), np.zeros_like(xr)
+    for j in range(1, len(coef)):
+        acc2 *= xr
+        acc2 += acc1
+        acc1 *= xr
+        acc1 += acc0
+        acc0 *= xr
+        acc0 += coef[j]
+    return np.stack([acc0[0], acc1[0], acc0[1], acc1[1], 2.0 * acc2[1]])
 
 
 GRAM_EPS = 1e-10  # AC - B^2 at or below this relative size is a removable zero

@@ -83,6 +83,18 @@ def test_golden_output(name):
     assert _golden_stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.endswith("_json")))
+def test_golden_json_is_strict(name):
+    assert _strict_json((GOLDEN_DIR / f"{name}.txt").read_text())["rows"]
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -295,6 +307,15 @@ def test_non_finite_value_is_flagged(capsys):
                               "--k", "1.7e308", "--interval", "-inf..inf"])
     (row,) = _rows(out)
     assert row["flagged"] == "1"
+    assert code == 1
+
+
+def test_non_finite_json_value_is_null(capsys):
+    code, out = _run(capsys, ["compute", "--n", "50", "--model", "independent",
+                              "--k", "1.7e308", "--interval", "-inf..inf", "--format", "json"])
+    (row,) = _strict_json(out)["rows"]
+    assert (row["interval_lo"], row["interval_hi"], row["value"]) == ("-inf", "inf", None)
+    assert row["flagged"] is True
     assert code == 1
 
 

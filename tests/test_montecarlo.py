@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelcross import montecarlo
 from levelcross.cli import main
 from levelcross.montecarlo import (
     _circulant_eigenvalues,
@@ -22,7 +23,7 @@ from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
 from levelcross.spectrum import CovarianceModel
 
-from oracles import empirical_covariance, sturm_count
+from oracles import empirical_covariance, fused_pass_reference, sturm_count
 
 
 def _ens(n, model=None, level=0.0):
@@ -165,6 +166,33 @@ def test_bisect_counts_deterministic_roots(real_roots, other_roots):
         (got,) = count_crossings_bisect_batch(coeffs[None, :], 0.0, spec)
         assert got == expect, f"roots {real_roots} on {spec}"
         assert count_level_crossings(coeffs, 0.0, spec) == expect
+
+
+SMALL_CHUNK = 128 * 37  # _CHUNK_BYTES for 37 points: one pass spans several chunks
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SMALL_CHUNK])
+@pytest.mark.parametrize("d", [2, 3, 9, 65, 513])
+def test_fused_pass_equals_reference_bit_for_bit(monkeypatch, d, chunk_bytes):
+    if chunk_bytes:
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(d)
+    # coefficients over six decades, so that rounding differs from step to step
+    table = rng.standard_normal((d, 7)) * 10.0 ** rng.integers(-3, 4, (d, 7))
+    col = rng.integers(0, 7, 300)
+    x = rng.uniform(-1.0, 1.0, 300)
+    r = np.maximum(np.abs(x), rng.uniform(0.0, 1.0, 300))
+    got = montecarlo._fused_pass(np.stack([table, np.abs(table)], axis=1), col, x, r)
+    want = fused_pass_reference(table, col, x, r)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bisect_counts_do_not_depend_on_chunking(monkeypatch):
+    batch = sample_coefficients(CovarianceModel.geometric(0.5), 64, 150, seed=3)
+    want = [count_crossings_bisect_batch(batch.coeffs, 0.7, spec).tolist() for spec in EDGE_SPECS]
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", SMALL_CHUNK)
+    got = [count_crossings_bisect_batch(batch.coeffs, 0.7, spec).tolist() for spec in EDGE_SPECS]
+    assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 64])

@@ -135,6 +135,16 @@ def test_geometric_lags_are_powers_of_rho(rho):
     assert tuple(CovarianceModel.geometric(rho).covariance(2000)) == tuple(rho**k for k in range(2001))
 
 
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 0.99])
+def test_geometric_lags_are_powers_of_rho_past_underflow(rho):
+    # the lags stop computing powers at the first rho**k == 0.0; every
+    # later power must be exactly 0.0 as well
+    m = 2**21
+    got = CovarianceModel.geometric(rho).covariance(m)
+    want = np.array([rho**k for k in range(m + 1)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_model_from_fourier_and_labels():
     model = CovarianceModel.from_fourier([1.0, 0.25])
     assert "fourier" in model.label
