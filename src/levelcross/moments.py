@@ -11,8 +11,14 @@ double sum as Toeplitz quadratic forms, embedding the Toeplitz matrix in a
 circulant whose length is the smallest 5-smooth number >= 2n,
 transforming a whole batch of power rows with one real FFT, and summing
 the circulant's eigenvalues against the row spectra by Parseval,
-O(n log n) per batch of points.  For |x| > 1 a numerically stable scaled
-form is used: with x = 1/z the scaled triple never forms z^{-2n}.
+O(n log n) per batch of points.  A MomentWorkspace holds the circulant
+weights and the O(n) work buffers for one batch size, and a caller that
+evaluates many batches (quadrature's KacRiceEvaluator) reuses it, so each
+batch fills the same buffers in place instead of allocating and zeroing
+fresh ones.  The results are bit-identical to a fresh call's, and they are
+new arrays, never views into the buffers.  For |x| > 1 a numerically
+stable scaled form is used: with x = 1/z the scaled triple never forms
+z^{-2n}.
 
 Stability of the scaled form comes from the reversal identity: the
 reversed polynomial z^n P_n(1/z) = sum_k X_{n-k} z^k has the same
@@ -59,6 +65,7 @@ def erf_integral(x):
 
 
 __all__ = [
+    "MomentWorkspace",
     "PolynomialEnsemble",
     "erf_integral",
     "intensity",
@@ -103,7 +110,52 @@ def _smooth_length(m: int) -> int:
 _POW_BLOCK = 64  # x^k = x^(64b) * x^j: two small pow tables and one multiply per entry
 
 
-def moment_arrays(gamma: np.ndarray, n: int, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+class MomentWorkspace:
+    """Work buffers of moment_arrays for lags gamma, degree n and batches of m points.
+
+    Built once, they serve every batch of that size: the circulant weights
+    (the real DFT of the embedded lag column times the Parseval bin
+    weights), the zero-padded power rows V and W (2m rows, wide enough for
+    the 64-wide power blocks, so wider than the FFT length L below n = 32),
+    the two small power tables, and one scratch array for the three
+    Parseval products.  Each batch overwrites them in place.
+    """
+
+    def __init__(self, gamma: np.ndarray, n: int, m: int):
+        if len(gamma) < n + 1:
+            raise ValueError(f"covariance sequence covers lags 0..{len(gamma)-1}, need 0..{n}")
+        self.gamma, self.n, self.m = gamma, n, m
+        col = np.asarray(gamma[: n + 1], dtype=float)
+        L = _smooth_length(2 * n)
+        embedded = np.zeros(L)
+        embedded[: n + 1] = col
+        embedded[L - n :] = col[:0:-1]
+        # An interior bin stands for itself and its conjugate twin.
+        weight = np.full(L // 2 + 1, 1.0 / L)
+        weight[1 : (L + 1) // 2] = 2.0 / L
+        # Interleaved (re, im) pairs share their bin's weight.
+        self.weight = np.repeat(np.fft.rfft(embedded).real * weight, 2)
+        blocks = n // _POW_BLOCK + 1
+        self.hi_exp = _POW_BLOCK * np.arange(blocks)
+        self.lo_exp = np.arange(_POW_BLOCK)
+        self.hi = np.empty((m, blocks))
+        self.lo = np.empty((m, _POW_BLOCK))
+        self.ks = np.arange(1.0, n + 1)
+        width = blocks * _POW_BLOCK
+        self.rows = np.zeros((2 * m, max(L, width)))
+        self.fft_in = self.rows[:, :L]
+        self.V, self.W = self.rows[:m], self.rows[m:]
+        # Splitting the contiguous last axis makes a view, never a copy.
+        self.table = self.V[:, :width].reshape(m, blocks, _POW_BLOCK)
+        self.padding = self.V[:, n + 1 : width]  # powers past x^n the table writes
+        self.product = np.empty((m, len(self.weight)))
+
+    def fits(self, gamma: np.ndarray, n: int, m: int) -> bool:
+        return self.gamma is gamma and self.n == n and self.m == m
+
+
+def moment_arrays(gamma: np.ndarray, n: int, xs: np.ndarray,
+                  workspace: MomentWorkspace | None = None) -> tuple[np.ndarray, ...]:
     """Vectorized A, B, C over points xs from covariance lags gamma[0..n].
 
     The quadratic forms v^T T v, v^T T w, w^T T w (T = Toeplitz(gamma),
@@ -117,32 +169,29 @@ def moment_arrays(gamma: np.ndarray, n: int, xs: np.ndarray) -> tuple[np.ndarray
         v^T T w = sum_k lambda_k Re(conj(v^_k) w^_k) / L,
 
     summed over the half spectrum with the interior bins weighted 2.  One
-    forward rfft covers every row of the batch and the embedded column:
-    O(n log n) per batch of points.
+    forward rfft covers every row of the batch: O(n log n) per batch.
+
+    A workspace built for this gamma (the same object), n and len(xs) is
+    reused: the batch fills its buffers in place and re-zeroes the padding
+    past column n, so the only new arrays are the row spectrum and the
+    three results.  Without one, or with one of another size, a one-off
+    workspace is built.  Either way the results are bit-identical, and
+    they are new arrays, never views into the workspace.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if len(gamma) < n + 1:
-        raise ValueError(f"covariance sequence covers lags 0..{len(gamma)-1}, need 0..{n}")
-    col = np.asarray(gamma[: n + 1], dtype=float)
     m = len(xs)
-    L = _smooth_length(2 * n)
-    rows = np.zeros((2 * m + 1, L))
-    V, W = rows[:m], rows[m : 2 * m]
-    hi = np.power.outer(xs, _POW_BLOCK * np.arange(n // _POW_BLOCK + 1))
-    lo = np.power.outer(xs, np.arange(_POW_BLOCK))
-    V[:, : n + 1] = (hi[:, :, None] * lo[:, None, :]).reshape(m, -1)[:, : n + 1]
-    W[:, 1 : n + 1] = V[:, :n] * np.arange(1, n + 1)
-    rows[-1, : n + 1] = col
-    rows[-1, L - n :] = col[:0:-1]
-    spec = np.fft.rfft(rows, axis=1)
-    # An interior bin stands for itself and its conjugate twin.
-    weight = np.full(spec.shape[1], 1.0 / L)
-    weight[1 : (L + 1) // 2] = 2.0 / L
-    # Interleaved (re, im) pairs share their bin's weight.
-    weight = np.repeat(spec[-1].real * weight, 2)
-    parts = spec[:-1].view(np.float64)
+    ws = workspace
+    if ws is None or not ws.fits(gamma, n, m):
+        ws = MomentWorkspace(gamma, n, m)
+    np.power(xs[:, None], ws.hi_exp, out=ws.hi)
+    np.power(xs[:, None], ws.lo_exp, out=ws.lo)
+    np.multiply(ws.hi[:, :, None], ws.lo[:, None, :], out=ws.table)
+    ws.padding[...] = 0.0
+    np.multiply(ws.V[:, :n], ws.ks, out=ws.W[:, 1 : n + 1])
+    parts = np.fft.rfft(ws.fft_in, axis=1).view(np.float64)
     Vh, Wh = parts[:m], parts[m:]
-    return (Vh * Vh) @ weight, (Vh * Wh) @ weight, (Wh * Wh) @ weight
+    return tuple(np.multiply(a, b, out=ws.product) @ ws.weight
+                 for a, b in ((Vh, Vh), (Vh, Wh), (Wh, Wh)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PolynomialEnsemble, intensity, moment_arrays, scaled_outer_from_inner
+from .moments import (
+    MomentWorkspace,
+    PolynomialEnsemble,
+    intensity,
+    moment_arrays,
+    scaled_outer_from_inner,
+)
 
 __all__ = [
     "FULL_LINE",
@@ -32,9 +38,10 @@ __all__ = [
     "expected_crossings",
 ]
 
-# One 15-point moment batch holds O(n) work arrays: the process's peak RSS
-# is about 140 MB at n = 2^16 and 400 MB at n = 2^18 (0.1-0.2 s and
-# 0.35-0.65 s per batch on a 2-vCPU x86 VM), so quadrature refuses larger n.
+# One 15-point moment batch holds O(n) work arrays: a full-line
+# `compute --model geometric:0.5` peaks at 112 MB RSS in 8.7 s at n = 2^16
+# and at 360 MB in 45 s at n = 2^18 (0.08-0.17 s and 0.36-0.63 s per batch
+# on a 2-vCPU x86 VM), so quadrature refuses larger n.
 MAX_DEGREE = 1 << 18
 
 
@@ -133,7 +140,11 @@ class CrossingEstimate:
 
 
 class KacRiceEvaluator:
-    """Caches the covariance lags of an ensemble and evaluates F1/F2 batches."""
+    """Caches the covariance lags of an ensemble and evaluates F1/F2 batches.
+
+    One moment workspace, built for the 15 points of a Kronrod panel,
+    serves every panel; a batch of another size gets a one-off workspace.
+    """
 
     def __init__(self, ensemble: PolynomialEnsemble):
         if ensemble.n > MAX_DEGREE:
@@ -143,16 +154,17 @@ class KacRiceEvaluator:
         self.n = ensemble.n
         self.K = abs(ensemble.level)
         self.gamma = ensemble.model.covariance(ensemble.n)
+        self.workspace = MomentWorkspace(self.gamma, self.n, len(_XGK))
 
     def inner(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F1, F2 per unit x on (-1, 1)."""
-        A, B, C = moment_arrays(self.gamma, self.n, xs)
+        A, B, C = moment_arrays(self.gamma, self.n, xs, self.workspace)
         return intensity(A, B, C, self.K, B, C)
 
     def transformed(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F1 + F2)(1/z) / z^2 per unit z, for 0 < |z| < 1 (covers |x| > 1)."""
         n = self.n
-        A, B, C = moment_arrays(self.gamma, n, zs)
+        A, B, C = moment_arrays(self.gamma, n, zs, self.workspace)
         _, Bt, C2 = scaled_outer_from_inner(n, zs, A, B, C)
         az = np.abs(zs)
         with np.errstate(under="ignore"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcross.moments import (
+    MomentWorkspace,
     PolynomialEnsemble,
     erf_integral,
     _smooth_length,
@@ -87,6 +88,39 @@ def test_moment_arrays_matches_dense_toeplitz_oracle(model, n):
     gamma = CovarianceModel.parse(model).covariance(n)
     A, B, C = moment_arrays(gamma, n, ORACLE_XS)
     Ao, Bo, Co = toeplitz_moments(gamma, n, ORACLE_XS)
+    assert np.all(np.abs(A - Ao) <= 1e-12 * Ao)
+    assert np.all(np.abs(B - Bo) <= 1e-12 * np.sqrt(Ao * Co))
+    assert np.all(np.abs(C - Co) <= 1e-12 * Co)
+
+
+@pytest.mark.parametrize("n", [1, 20, 64, 2048])
+def test_workspace_reuse_is_bit_identical_to_fresh_calls(n):
+    # Below n = 32 the 64-wide power block is wider than the FFT length, so
+    # the rows buffer is wider than L.  Each batch must clear the powers past
+    # column n that the block writes, and return arrays of its own.
+    gamma = CovarianceModel.geometric(0.5).covariance(n)
+    rng = np.random.default_rng(n)
+    edge = 1.0 - 10.0 ** -rng.uniform(1, 14, 15)
+    batches = [
+        np.linspace(-0.9, 0.9, 15),
+        np.where(np.arange(15) % 2 == 0, edge, -edge),  # nodes near +-1
+        rng.uniform(-1, 1, 15) * 10.0 ** -rng.uniform(0, 12, 15),  # z nodes near 0
+        -np.linspace(-0.9, 0.9, 15) ** 3,
+    ]
+    ws = MomentWorkspace(gamma, n, 15)
+    kept = []
+    for xs in batches:
+        got = moment_arrays(gamma, n, xs, ws)
+        for reused, fresh in zip(got, moment_arrays(gamma, n, xs)):
+            assert np.all(reused == fresh)
+        kept.append((got, [a.copy() for a in got]))
+    for got, snapshot in kept:  # no result is a view into the buffers
+        for a, b in zip(got, snapshot):
+            assert np.all(a == b)
+    # Every fifth point against the dense oracle: a padding left unzeroed
+    # spoils fresh and reused results alike.
+    A, B, C = (np.concatenate([got[i] for got, _ in kept])[::5] for i in range(3))
+    Ao, Bo, Co = toeplitz_moments(gamma, n, np.concatenate(batches)[::5])
     assert np.all(np.abs(A - Ao) <= 1e-12 * Ao)
     assert np.all(np.abs(B - Bo) <= 1e-12 * np.sqrt(Ao * Co))
     assert np.all(np.abs(C - Co) <= 1e-12 * Co)
