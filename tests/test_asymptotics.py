@@ -8,9 +8,11 @@ import pytest
 from levelcross.asymptotics import (
     AsymptoticPrediction,
     fit_log_slope,
+    interval_prediction,
     theorem_prediction,
 )
 from levelcross.moments import PolynomialEnsemble
+from levelcross.quadrature import FULL_LINE, IntervalSpec
 from levelcross.spectrum import CovarianceModel
 
 from oracles import edge_moment_approx, geometric_density, independent_density, spectral_moments
@@ -49,6 +51,48 @@ def test_prediction_out_of_regime():
         theorem_prediction(2, 0.0, "K_bounded", "inner")
     with pytest.raises(ValueError):
         theorem_prediction(100, 0.0, "K_bounded", "sideways")
+
+
+# -- interval_prediction --------------------------------------------------------
+
+INNER = IntervalSpec(-1.0, 1.0)
+RIGHT_TAIL = IntervalSpec(1.0, math.inf)
+LEFT_TAIL = IntervalSpec(-math.inf, -1.0)
+
+
+# n = 1000: (1/pi) log n = 2.1988..., and at K = 2 the inner term is (1/pi) log(n/4)
+@pytest.mark.parametrize("K, spec, expect", [
+    (0.0, INNER, 2.198806796638283),
+    (0.0, RIGHT_TAIL, 1.0994033983191416),
+    (0.0, LEFT_TAIL, 1.0994033983191416),
+    (0.0, FULL_LINE, 4.397613593276566),
+    (0.0, IntervalSpec(-1.0, math.inf), 3.2982101949574245),
+    (2.0, INNER, 1.75753559633298),
+    (2.0, RIGHT_TAIL, 1.0994033983191416),
+    (2.0, LEFT_TAIL, 1.0994033983191416),
+    (2.0, FULL_LINE, 3.956342392971263),
+    (2.0, IntervalSpec(-math.inf, 1.0), 2.8569389946521215),
+])
+def test_interval_prediction_values(K, spec, expect):
+    assert interval_prediction(1000, K, spec) == expect
+
+
+@pytest.mark.parametrize("spec", [
+    IntervalSpec(-0.5, 0.5), IntervalSpec(0.0, 1.0), IntervalSpec(1.0, 2.0),
+    IntervalSpec(2.0, math.inf), IntervalSpec(-math.inf, -2.0), IntervalSpec(-2.0, 2.0),
+    IntervalSpec(-1.0, 3.0),
+])
+@pytest.mark.parametrize("K", [0.0, 2.0])
+def test_interval_prediction_none_for_a_partial_piece(K, spec):
+    assert interval_prediction(1000, K, spec) is None
+
+
+def test_interval_prediction_none_out_of_range():
+    assert interval_prediction(2, 0.0, FULL_LINE) is None
+    assert interval_prediction(2, 1.0, INNER) is None
+    assert interval_prediction(100, 10.0, FULL_LINE) is None  # K^2 = n
+    assert interval_prediction(100, -11.0, INNER) is None
+    assert interval_prediction(100, 9.99, FULL_LINE) is not None
 
 
 # -- edge arctan forms (oracle) --------------------------------------------------
