@@ -6,7 +6,6 @@ Monte Carlo simulator for cross-validation.
 """
 
 from .asymptotics import (
-    AsymptoticPrediction,
     fit_log_slope,
     interval_prediction,
     theorem_prediction,

@@ -11,50 +11,33 @@ For a strictly positive spectral density the expected crossings behave as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-REGIMES = ("K_bounded", "K_growing")
-INTERVAL_CLASSES = ("inner", "outer")
-
 __all__ = [
-    "AsymptoticPrediction",
     "theorem_prediction",
     "interval_prediction",
     "fit_log_slope",
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    regime: str
-    interval_class: str
-    value: float
-    error_order: str  # "o(log n)" for ~ statements, "O(log log n)" otherwise
-
-
-def theorem_prediction(n: int, K: float, regime: str, interval_class: str) -> AsymptoticPrediction:
+def theorem_prediction(n: int, K: float, interval_class: str) -> float:
     """Leading-order expected crossings for the inner interval or the two tails.
 
     The inner class is (-1,1); the outer class is (-inf,-1) union (1,inf)
-    (each single edge or tail carries half the class total).
+    (each single edge or tail carries half the class total).  K = 0 is the
+    bounded regime, an o(log n) statement; any other K is the growing
+    regime, which needs K^2 < n and holds to O(log log n).
     """
     if n < 3:
         raise ValueError(f"asymptotic prediction needs n >= 3, got {n}")
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if interval_class not in INTERVAL_CLASSES:
-        raise ValueError(f"interval_class must be one of {INTERVAL_CLASSES}, got {interval_class!r}")
-    if regime == "K_bounded":
-        return AsymptoticPrediction(regime, interval_class, math.log(n) / math.pi, "o(log n)")
-    if K * K >= n:
+    if interval_class not in ("inner", "outer"):
+        raise ValueError(f"interval_class must be 'inner' or 'outer', got {interval_class!r}")
+    if K != 0.0 and K * K >= n:
         raise ValueError(f"growing regime requires K^2 < n, got K = {K}, n = {n}")
-    if interval_class == "inner":
-        value = math.log(n / (K * K)) / math.pi
-    else:
-        value = math.log(n) / math.pi
-    return AsymptoticPrediction(regime, interval_class, value, "O(log log n)")
+    if K == 0.0 or interval_class == "outer":
+        return math.log(n) / math.pi
+    return math.log(n / (K * K)) / math.pi
 
 
 def interval_prediction(n: int, K: float, spec) -> float | None:
@@ -64,30 +47,27 @@ def interval_prediction(n: int, K: float, spec) -> float | None:
     carry their own term; intervals that only partially cover a piece get
     no prediction.
     """
-    if n < 3:
-        return None
-    regime = "K_bounded" if K == 0.0 else "K_growing"
-    if regime == "K_growing" and K * K >= n:
+    if n < 3 or (K != 0.0 and K * K >= n):
         return None
     total = 0.0
     covered = False
     if spec.lo <= -1.0 and spec.hi >= 1.0:
-        total += theorem_prediction(n, K, regime, "inner").value
+        total += theorem_prediction(n, K, "inner")
         covered = True
     elif -1.0 <= spec.lo and spec.hi <= 1.0:
         if (spec.lo, spec.hi) != (-1.0, 1.0):
             return None
-        total += theorem_prediction(n, K, regime, "inner").value
+        total += theorem_prediction(n, K, "inner")
         covered = True
     if spec.hi > 1.0:
         if spec.lo > 1.0 or not math.isinf(spec.hi):
             return None
-        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
+        total += 0.5 * theorem_prediction(n, K, "outer")
         covered = True
     if spec.lo < -1.0:
         if spec.hi < -1.0 or not math.isinf(spec.lo):
             return None
-        total += 0.5 * theorem_prediction(n, K, regime, "outer").value
+        total += 0.5 * theorem_prediction(n, K, "outer")
         covered = True
     return total if covered else None
 

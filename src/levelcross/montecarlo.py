@@ -6,39 +6,38 @@ the constant-covariance model is realized exactly as
 X_k = sqrt(rho) Z + sqrt(1-rho) Y_k, and crossings of P_n(x) = K are
 counted per sample.
 
-Two counters are provided:
+Two counters are provided.  Both take a batch of rows and a list of
+intervals and return a (rows, intervals) int matrix, and both evaluate
+polynomials by one Horner pass, _fused_pass: P(x), P'(x) and the
+majorants S0, S1, S2 of |P|, |P'|, |P''| on [-r, r] for every point of a
+batch, at about 3 numpy calls per coefficient and 128 bytes of work
+memory per point at any degree.
 
-* the companion counter (count_level_crossings for one polynomial):
-  companion-matrix eigenvalues with acceptance thresholding, guarded
-  Newton refinement, and de-duplication.  Exact (matches a rational Sturm
-  oracle on small-degree polynomials) but O(n^3) per sample.  Each
-  sample's verified, distinct real roots are found once and then counted
-  on every interval.  The matrices of a batch are solved in stacks, and
-  all candidate roots of a stack are polished in one vectorized Newton
-  pass.  A sample is refused (count -1) when the eigensolver fails on it
-  or a real eigenvalue fails the backward-error test after polishing.
+* the companion counter (_companion_counts; count_level_crossings for one
+  polynomial): companion-matrix eigenvalues with acceptance thresholding,
+  guarded Newton refinement, and de-duplication.  Exact (matches a
+  rational Sturm oracle on small-degree polynomials) but O(n^3) per
+  sample.  Each sample's verified, distinct real roots are found once and
+  then counted on every interval.  The matrices of a batch are solved in
+  stacks, and all candidate roots of a stack are polished in one Newton
+  pass, whose Horner pass at r = |x| also gives the backward-error scale
+  S0.  A sample is refused (count -1) when the eigensolver fails on it or
+  a real eigenvalue fails the backward-error test after polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
-  the whole sample batch at once, O(n) per evaluation.  One fused Horner
-  pass per live interval [a, b] (midpoint m, half-width h) gives P(m),
-  P'(m) and the majorants S0, S1, S2 of |P|, |P'|, |P''| on
-  [-r, r], r = max(|a|, |b|).  Each bisection level runs one pass over
-  every live interval of the batch: the six sums of all intervals sit in
-  one stack, so a coefficient step is one gather, one multiply and one
-  add, about 3 numpy calls per coefficient per level whatever the number
-  of intervals.  Each sum keeps the order acc * x + next of a loop of its
-  own, so the results are bit for bit those of such loops, and the work
-  memory is 128 bytes per interval at any degree (chunks of about
-  _CHUNK_BYTES), beside the coefficient table and its absolute values,
-  32 (n + 1) bytes per sample with its reversal.  Three certificates
-  retire intervals: no root when |P(m)| beats the second-order Taylor
-  bound over [a, b]; at most one root when |P'(m)| > S2 h, which then
-  counts the sign change P(a), P(b); and, on each half after a split, no
-  root when an endpoint value exceeds S1 times the width.  A half
-  narrower than 1e-12 (1 + |b|) counts its sign change, so tangencies and
-  root pairs closer than that count as sign crossings.  For Gaussian
-  samples this equals the distinct-root count almost surely.  Used by the
-  estimator at large degree for speed; the two counters are cross-checked
-  in the tests.  A single polynomial is a batch of one row.
+  the whole sample batch and every interval at once, O(n) per
+  evaluation.  Each live interval [a, b] (midpoint m, half-width h) gets
+  one Horner pass at m with r = max(|a|, |b|), and each bisection level
+  runs one pass over every live interval.  The coefficient table holds
+  each polynomial and its reversal, 32 (n + 1) bytes per sample.  Three
+  certificates retire intervals: no root when |P(m)| beats the
+  second-order Taylor bound over [a, b]; at most one root when
+  |P'(m)| > S2 h, which then counts the sign change P(a), P(b); and, on
+  each half after a split, no root when an endpoint value exceeds S1
+  times the width.  A half narrower than 1e-12 (1 + |b|) counts its sign
+  change, so tangencies and root pairs closer than that count as sign
+  crossings.  For Gaussian samples this equals the distinct-root count
+  almost surely.  Used by the estimator at large degree for speed; the
+  two counters are cross-checked in the tests.
 
 estimate_crossings_per_interval draws one batch per (ensemble, seed) and
 returns one estimate per interval; estimate_crossings is its one-interval
@@ -159,36 +158,68 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
 
 
 # ---------------------------------------------------------------------------
+# the Horner pass both counters share
+# ---------------------------------------------------------------------------
+
+
+def _fused_pass(table: np.ndarray, col: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One Horner pass per point: rows P(x), P'(x), S0(r), S1(r), S2(r).
+
+    table[j, 0, i] is coefficient j (descending) of polynomial i, and
+    table[j, 1, i] its absolute value.  P(x) uses the plain Horner order
+    acc*x + c and P'(x) the derivative recurrence; S0, S1 and S2 are the
+    majorants sum |a_k| r^k, sum k|a_k| r^(k-1) and sum k(k-1)|a_k| r^(k-2),
+    which bound |P|, |P'| and |P''| on [-r, r].
+
+    The accumulators of both sides sit in one stack acc[i, side, point]:
+    acc[1..3] hold the value, first-derivative and half-second-derivative
+    sums, at x on side 0 and at r on side 1, and acc[0] receives the next
+    coefficient row of every point.  So one Horner step over every point
+    is a gather, one multiply and one add, acc[1:] * (x, r) + acc[:3],
+    with each sum formed as acc * x + next just as in a separate loop per
+    sum: the five rows are bit for bit those of the scalar recurrences.
+    Two such stacks, 128 bytes per point whatever the degree, are the work
+    memory; points go in chunks of about _CHUNK_BYTES of it.
+    """
+    chunk = max(1, min(len(col), _CHUNK_BYTES // 128))
+    out = np.empty((5, len(col)))
+    for s in range(0, len(col), chunk):
+        c = col[s : s + chunk]
+        xr = np.stack([x[s : s + chunk], r[s : s + chunk]])
+        acc, nxt = np.zeros((4, 2, len(c))), np.empty((4, 2, len(c)))
+        np.take(table[0], c, axis=1, out=acc[1], mode="clip")
+        for j in range(1, table.shape[0]):
+            # mode="clip" lets take write into acc[0] directly; "raise" buffers it
+            np.take(table[j], c, axis=1, out=acc[0], mode="clip")
+            np.multiply(acc[1:], xr, out=nxt[1:])
+            nxt[1:] += acc[:3]
+            acc, nxt = nxt, acc
+        sums = acc[1:]
+        out[:, s : s + chunk] = sums[0, 0], sums[1, 0], sums[0, 1], sums[1, 1], 2.0 * sums[2, 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # companion-matrix counter
 # ---------------------------------------------------------------------------
 
 
-def _horner_cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomial coef[:, i] (ascending) at x[i], in the order acc * x + c from zero."""
-    acc = np.zeros_like(x)
-    for c in coef[::-1]:
-        acc *= x
-        acc += c
-    return acc
+def _polish(table: np.ndarray, col: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guarded Newton polish of x[i] as a root of polynomial col[i] of table.
 
-
-def _polish(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Guarded Newton polish of x[i] as a root of coef[:, i] (ascending).
-
-    Each root takes up to 16 Newton steps, each capped at (1 + |x|) / 2,
-    and stops early when P'(x) = 0, P(x) is not finite, or the step falls
-    to 1e-15 (1 + |x|).  Returns the roots and whether each passes the
-    relative backward-error test |P(x)| <= 1e-9 sum |a_k| |x|^k.
+    table is _fused_pass's (d, 2, polynomials) table.  Each root takes up to
+    16 Newton steps, each capped at (1 + |x|) / 2, and stops early when
+    P'(x) = 0, P(x) is not finite, or the step falls to 1e-15 (1 + |x|).
+    Returns the roots and whether each passes the relative backward-error
+    test |P(x)| <= 1e-9 S0(|x|), S0(r) = sum |a_k| r^k.
     """
-    dcoef = coef[1:] * np.arange(1, len(coef))[:, None]
     x = x.copy()
     live = np.arange(len(x))
     for _ in range(16):
         if len(live) == 0:
             break
         xl = x[live]
-        p = _horner_cols(coef[:, live], xl)
-        dp = _horner_cols(dcoef[:, live], xl)
+        p, dp = _fused_pass(table, col[live], xl, np.abs(xl))[:2]
         go = (dp != 0.0) & np.isfinite(p)
         live, xl, p, dp = live[go], xl[go], p[go], dp[go]
         step = p / dp
@@ -197,9 +228,8 @@ def _polish(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xl -= step
         x[live] = xl
         live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
-    scale = _horner_cols(np.abs(coef), np.abs(x))
-    resid = np.abs(_horner_cols(coef, x))
-    return x, resid <= 1e-9 * np.maximum(scale, 1e-300)
+    p, _, scale = _fused_pass(table, col, x, np.abs(x))[:3]
+    return x, np.abs(p) <= 1e-9 * np.maximum(scale, 1e-300)
 
 
 def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +277,8 @@ def _count_real_roots(c: np.ndarray, low: int, specs) -> np.ndarray:
     rescue = ~strict & (im <= _IMAG_RESCUE * band)
 
     row, col = np.nonzero((strict | rescue) & solved[:, None])
-    x, ok = _polish(np.ascontiguousarray(c[row].T), re[row, col])
+    desc = c[:, ::-1].T
+    x, ok = _polish(np.stack([desc, np.abs(desc)], axis=1), row, re[row, col])
     # a strict root the polish cannot verify refuses its sample
     refused = ~solved
     refused[row[strict[row, col] & ~ok]] = True
@@ -323,51 +354,14 @@ def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE
 # ---------------------------------------------------------------------------
 
 
-def _fused_pass(table: np.ndarray, col: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One Horner pass per point: rows P(x), P'(x), S0(r), S1(r), S2(r).
-
-    table[j, 0, i] is coefficient j (descending) of polynomial i, and
-    table[j, 1, i] its absolute value.  P(x) uses the plain Horner order
-    acc*x + c and P'(x) the derivative recurrence; S0, S1 and S2 are the
-    majorants sum |a_k| r^k, sum k|a_k| r^(k-1) and sum k(k-1)|a_k| r^(k-2),
-    which bound |P|, |P'| and |P''| on [-r, r].
-
-    The accumulators of both sides sit in one stack acc[i, side, point]:
-    acc[1..3] hold the value, first-derivative and half-second-derivative
-    sums, at x on side 0 and at r on side 1, and acc[0] receives the next
-    coefficient row of every point.  So one Horner step over every point
-    is a gather, one multiply and one add, acc[1:] * (x, r) + acc[:3],
-    with each sum formed as acc * x + next just as in a separate loop per
-    sum: the five rows are bit for bit those of the scalar recurrences.
-    Two such stacks, 128 bytes per point whatever the degree, are the work
-    memory; points go in chunks of about _CHUNK_BYTES of it.
-    """
-    chunk = max(1, min(len(col), _CHUNK_BYTES // 128))
-    out = np.empty((5, len(col)))
-    for s in range(0, len(col), chunk):
-        c = col[s : s + chunk]
-        xr = np.stack([x[s : s + chunk], r[s : s + chunk]])
-        acc, nxt = np.zeros((4, 2, len(c))), np.empty((4, 2, len(c)))
-        np.take(table[0], c, axis=1, out=acc[1], mode="clip")
-        for j in range(1, table.shape[0]):
-            # mode="clip" lets take write into acc[0] directly; "raise" buffers it
-            np.take(table[j], c, axis=1, out=acc[0], mode="clip")
-            np.multiply(acc[1:], xr, out=nxt[1:])
-            nxt[1:] += acc[:3]
-            acc, nxt = nxt, acc
-        sums = acc[1:]
-        out[:, s : s + chunk] = sums[0, 0], sums[1, 0], sums[0, 1], sums[1, 1], 2.0 * sums[2, 1]
-    return out
-
-
 def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                           htol: float = 1e-12) -> np.ndarray:
     """Sign crossings of polynomial col[i] on (lo[i], hi[i]), by certified bisection.
 
     table is _fused_pass's (d, 2, polynomials) table, and |lo|, |hi| <= 1;
-    returns the counts summed per polynomial.  Each live
-    interval [a, b], with midpoint m, half-width h and r = max(|a|, |b|),
-    gets one fused evaluation, and with the Horner slack delta = 4 d eps:
+    returns one count per interval i.  Each live interval [a, b], with
+    midpoint m, half-width h and r = max(|a|, |b|), gets one fused
+    evaluation, and with the Horner slack delta = 4 d eps:
 
     * no root if |P(m)| - delta S0 > (|P'(m)| + delta S1) h + S2 h^2 / 2;
     * at most one root if |P'(m)| - delta S1 > S2 h, which then counts
@@ -377,54 +371,45 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
       once its width falls below htol (1 + |b|).
     """
     d = table.shape[0]
-    counts = np.zeros(table.shape[2], dtype=np.int64)
+    counts = np.zeros(len(lo), dtype=np.int64)
     if d < 2:
         return counts
-    live = lo < hi
-    col, a, b = col[live], lo[live], hi[live]
-    fa = _fused_pass(table, col, a, np.abs(a))[0]
-    fb = _fused_pass(table, col, b, np.abs(b))[0]
+    i = np.flatnonzero(lo < hi)  # each live interval by its index in lo, hi
+    a, b = lo[i], hi[i]
+    fa = _fused_pass(table, col[i], a, np.abs(a))[0]
+    fb = _fused_pass(table, col[i], b, np.abs(b))[0]
     delta = 4.0 * d * np.finfo(float).eps
     for _ in range(80):
         if len(a) == 0:
             break
         mid = 0.5 * (a + b)
         h = 0.5 * (b - a)
-        fm, dfm, s0, s1, s2 = _fused_pass(table, col, mid, np.maximum(np.abs(a), np.abs(b)))
+        fm, dfm, s0, s1, s2 = _fused_pass(table, col[i], mid, np.maximum(np.abs(a), np.abs(b)))
         no_root = np.abs(fm) - delta * s0 > (np.abs(dfm) + delta * s1) * h + 0.5 * s2 * h * h
         monotone = ~no_root & (np.abs(dfm) - delta * s1 > s2 * h)
-        np.add.at(counts, col[monotone & ((fa > 0) != (fb > 0))], 1)
+        np.add.at(counts, i[monotone & ((fa > 0) != (fb > 0))], 1)
         split = ~(no_root | monotone)
-        a, b, mid, fa, fb, fm, s1, col = (
-            v[split] for v in (a, b, mid, fa, fb, fm, s1, col))
-
-        na, nb, nfa, nfb, ncol = [], [], [], [], []
-        for (u, v, fu, fv) in ((a, mid, fa, fm), (mid, b, fm, fb)):
-            width = v - u
-            certified = np.maximum(np.abs(fu), np.abs(fv)) > s1 * width
-            tiny = width <= htol * (1.0 + np.abs(v))
-            crossing = tiny & ~certified & ((fu > 0) != (fv > 0))
-            np.add.at(counts, col[crossing], 1)
-            keep = ~(certified | tiny)
-            na.append(u[keep])
-            nb.append(v[keep])
-            nfa.append(fu[keep])
-            nfb.append(fv[keep])
-            ncol.append(col[keep])
-        a = np.concatenate(na)
-        b = np.concatenate(nb)
-        fa = np.concatenate(nfa)
-        fb = np.concatenate(nfb)
-        col = np.concatenate(ncol)
+        i, a, b, mid, fa, fb, fm, s1 = (v[split] for v in (i, a, b, mid, fa, fb, fm, s1))
+        # both halves of every split interval: all the [a, mid], then all the [mid, b]
+        i, s1 = np.concatenate([i, i]), np.concatenate([s1, s1])
+        u, v = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fu, fv = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        width = v - u
+        certified = np.maximum(np.abs(fu), np.abs(fv)) > s1 * width
+        tiny = width <= htol * (1.0 + np.abs(v))
+        np.add.at(counts, i[tiny & ~certified & ((fu > 0) != (fv > 0))], 1)
+        keep = ~(certified | tiny)
+        i, a, b, fa, fb = i[keep], u[keep], v[keep], fu[keep], fv[keep]
     return counts
 
 
-def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: IntervalSpec = FULL_LINE) -> np.ndarray:
-    """Sign crossings of P(x) - K in spec, one count per row of coeffs.
+def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
+    """Sign crossings of P(x) - K per row of coeffs and per interval of specs.
 
-    The parts of spec.parts() run as one bisection: the part in [-1, 1] on
-    P itself, and each part beyond +-1 on the reversed polynomial
-    z^n P(1/z), over its z = 1/x range.
+    Returns counts of shape (rows, len(specs)), as the companion counter
+    does.  The parts of every spec's parts() run as one bisection over one
+    table: the part in [-1, 1] on P itself, and each part beyond +-1 on the
+    reversed polynomial z^n P(1/z), over its z = 1/x range.
     """
     c = np.asarray(coeffs, dtype=float)
     m, d = c.shape
@@ -437,12 +422,16 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float = 0.0, spec: Inter
     table[-1, 0, :m] -= K
     table[0, 0, m:] -= K
     np.abs(table[:, 0], out=table[:, 1])
-    # one row (lo, hi, transformed) per part, m intervals each
-    parts = np.array(spec.parts(), dtype=float).reshape(-1, 3)
-    lo, hi, transformed = (np.repeat(v, m) for v in parts.T)
+    # one row (spec index, lo, hi, transformed) per part, m intervals each
+    parts = np.array([(j, *part) for j, spec in enumerate(specs) for part in spec.parts()],
+                     dtype=float).reshape(-1, 4)
+    lo, hi, transformed = (np.repeat(v, m) for v in parts[:, 1:].T)
     col = np.tile(np.arange(m), len(parts)) + m * transformed.astype(np.int64)
-    counts = _batch_sign_crossings(table, col, lo, hi)
-    return counts[:m] + counts[m:]
+    crossings = _batch_sign_crossings(table, col, lo, hi).reshape(len(parts), m)
+    counts = np.empty((m, len(specs)), dtype=np.int64)
+    for j in range(len(specs)):
+        counts[:, j] = crossings[parts[:, 0] == j].sum(axis=0)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +464,14 @@ def estimate_crossings_per_interval(
     if counter not in ("auto", "companion", "bisect"):
         raise ValueError(f"unknown counter {counter!r}")
     specs = list(specs)
-    batch = sample_coefficients(e.model, e.n, count, seed)
-
-    def bisect_counts(coeffs):
-        return np.stack([count_crossings_bisect_batch(coeffs, e.level, spec) for spec in specs], axis=1)
-
+    coeffs = sample_coefficients(e.model, e.n, count, seed).coeffs
     if counter == "bisect" or (counter == "auto" and e.n > 128):
-        counts, method = bisect_counts(batch.coeffs), "monte_carlo/bisect"
+        counts, method = count_crossings_bisect_batch(coeffs, e.level, specs), "monte_carlo/bisect"
     else:
-        counts, method = _companion_counts(batch.coeffs, e.level, specs), "monte_carlo/companion"
+        counts, method = _companion_counts(coeffs, e.level, specs), "monte_carlo/companion"
         refused = counts[:, 0] < 0  # a refused row reads -1 in every column
         if counter == "auto" and refused.any():
-            counts[refused] = bisect_counts(batch.coeffs[refused])
+            counts[refused] = count_crossings_bisect_batch(coeffs[refused], e.level, specs)
             method = "monte_carlo/companion+bisect"
     out = []
     for spec, col in zip(specs, counts.T):

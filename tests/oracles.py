@@ -3,7 +3,8 @@
 Each oracle is written without the package, so that agreement with it is
 evidence and not self-consistency: a rational-arithmetic Sturm root counter,
 the certified bisection's Horner pass as one loop step per coefficient,
-the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
+the companion counter's Newton polish with P and P' as separate Horner
+loops, the scalar Kac-Rice integrand at one point, the moments A, B, C as dense
 Toeplitz quadratic forms and as spectral integrals of the geometric-sum
 kernel, their near-edge arctan forms, the exact Kac-Rice mean for constant
 covariance from its closed-form moments, the Edelman-Kostlan density of
@@ -135,6 +136,46 @@ def fused_pass_reference(table, col, x, r):
         acc0 += coef[j]
     return np.stack([acc0[0], acc1[0], acc0[1], acc1[1], 2.0 * acc2[1]])
 
+
+
+def _horner_cols(coef, x):
+    """Polynomial coef[:, i] (ascending) at x[i], in the order acc * x + c from zero."""
+    acc = np.zeros_like(x)
+    for c in coef[::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def polish_reference(coef, x):
+    """Guarded Newton polish of x[i] as a root of coef[:, i] (ascending).
+
+    The companion counter's polish with P and P' as two Horner loops, P'
+    on the differentiated coefficients k a_k: up to 16 Newton steps per
+    root, each capped at (1 + |x|) / 2, stopping early when P'(x) = 0,
+    P(x) is not finite, or the step falls to 1e-15 (1 + |x|).  Returns the
+    roots and whether each passes |P(x)| <= 1e-9 sum |a_k| |x|^k.
+    """
+    dcoef = coef[1:] * np.arange(1, len(coef))[:, None]
+    x = x.copy()
+    live = np.arange(len(x))
+    for _ in range(16):
+        if len(live) == 0:
+            break
+        xl = x[live]
+        p = _horner_cols(coef[:, live], xl)
+        dp = _horner_cols(dcoef[:, live], xl)
+        go = (dp != 0.0) & np.isfinite(p)
+        live, xl, p, dp = live[go], xl[go], p[go], dp[go]
+        step = p / dp
+        cap = 0.5 * (1.0 + np.abs(xl))
+        step = np.where(np.abs(step) > cap, np.copysign(cap, step), step)
+        xl -= step
+        x[live] = xl
+        live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
+    scale = _horner_cols(np.abs(coef), np.abs(x))
+    resid = np.abs(_horner_cols(coef, x))
+    return x, resid <= 1e-9 * np.maximum(scale, 1e-300)
 
 GRAM_EPS = 1e-10  # AC - B^2 at or below this relative size is a removable zero
 

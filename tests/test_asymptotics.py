@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from levelcross.asymptotics import (
-    AsymptoticPrediction,
     fit_log_slope,
     interval_prediction,
     theorem_prediction,
@@ -22,35 +21,36 @@ from oracles import edge_moment_approx, geometric_density, independent_density, 
 
 
 def test_prediction_bounded_inner():
-    p = theorem_prediction(1000, 0.0, "K_bounded", "inner")
-    assert p.value == pytest.approx(math.log(1000) / math.pi)
-    assert p.value == pytest.approx(2.1988, abs=1e-3)
+    p = theorem_prediction(1000, 0.0, "inner")
+    assert p == pytest.approx(math.log(1000) / math.pi)
+    assert p == pytest.approx(2.1988, abs=1e-3)
 
 
 def test_prediction_growing_inner():
-    p = theorem_prediction(1000, 10.0, "K_growing", "inner")
-    assert p.value == pytest.approx(math.log(10.0) / math.pi)
-    assert p.value == pytest.approx(0.7329, abs=1e-3)
+    p = theorem_prediction(1000, 10.0, "inner")
+    assert p == pytest.approx(math.log(10.0) / math.pi)
+    assert p == pytest.approx(0.7329, abs=1e-3)
 
 
 def test_prediction_growing_outer():
-    p = theorem_prediction(1000, 10.0, "K_growing", "outer")
-    assert p.value == pytest.approx(math.log(1000) / math.pi, rel=1e-12)
+    p = theorem_prediction(1000, 10.0, "outer")
+    assert p == pytest.approx(math.log(1000) / math.pi, rel=1e-12)
 
 
 def test_prediction_consistency_k1():
-    a = theorem_prediction(500, 1.0, "K_growing", "inner").value
-    b = theorem_prediction(500, 1.0, "K_bounded", "inner").value
-    assert a == b
+    # K = 1 is the growing regime, whose inner term log(n / K^2) meets the bounded one
+    assert theorem_prediction(500, 1.0, "inner") == theorem_prediction(500, 0.0, "inner")
 
 
 def test_prediction_out_of_regime():
     with pytest.raises(ValueError):
-        theorem_prediction(100, 10.0, "K_growing", "inner")
+        theorem_prediction(100, 10.0, "inner")
     with pytest.raises(ValueError):
-        theorem_prediction(2, 0.0, "K_bounded", "inner")
+        theorem_prediction(100, -10.0, "outer")
     with pytest.raises(ValueError):
-        theorem_prediction(100, 0.0, "K_bounded", "sideways")
+        theorem_prediction(2, 0.0, "inner")
+    with pytest.raises(ValueError):
+        theorem_prediction(100, 0.0, "sideways")
 
 
 # -- interval_prediction --------------------------------------------------------
@@ -192,8 +192,6 @@ def test_fit_needs_four_rows():
         fit_log_slope(ns, [1.0, 2.0, 3.0])
 
 
-def test_prediction_dataclass_fields():
-    p = theorem_prediction(100, 0.0, "K_bounded", "outer")
-    assert isinstance(p, AsymptoticPrediction)
-    assert p.regime == "K_bounded" and p.interval_class == "outer"
-    assert p.error_order
+def test_prediction_is_a_float():
+    assert type(theorem_prediction(100, 0.0, "outer")) is float
+    assert type(theorem_prediction(100, 2.0, "inner")) is float

@@ -23,7 +23,7 @@ from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
 from levelcross.spectrum import CovarianceModel
 
-from oracles import empirical_covariance, fused_pass_reference, sturm_count
+from oracles import empirical_covariance, fused_pass_reference, polish_reference, sturm_chain, sturm_count
 
 
 def _ens(n, model=None, level=0.0):
@@ -120,7 +120,7 @@ def test_count_level_shift():
 def test_bisect_matches_companion_on_gaussian_samples():
     batch = sample_coefficients(CovarianceModel.geometric(0.5), 24, 400, seed=21)
     for spec in (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf)):
-        counts = count_crossings_bisect_batch(batch.coeffs, 0.7, spec)
+        counts = count_crossings_bisect_batch(batch.coeffs, 0.7, [spec])[:, 0]
         assert len(counts) == batch.count
         for row, got in zip(batch.coeffs, counts):
             assert count_level_crossings(row, 0.7, spec) == got
@@ -130,14 +130,14 @@ def test_bisect_matches_companion_on_gaussian_samples():
 def test_bisect_accepts_int_bounds(lo, hi):
     batch = sample_coefficients(CovarianceModel.geometric(0.5), 12, 100, seed=4)
     spec = IntervalSpec(lo, hi)
-    counts = count_crossings_bisect_batch(batch.coeffs, 0.3, spec)
+    counts = count_crossings_bisect_batch(batch.coeffs, 0.3, [spec])[:, 0]
     assert counts.tolist() == [count_level_crossings(row, 0.3, spec) for row in batch.coeffs]
 
 
 def test_interval_with_no_parts_has_no_crossings():
     spec = IntervalSpec(1e308, 1.0000000000000002e308)  # 1/lo == 1/hi
     batch = sample_coefficients(CovarianceModel.independent(), 6, 5, seed=1)
-    assert count_crossings_bisect_batch(batch.coeffs, 0.0, spec).tolist() == [0] * 5
+    assert count_crossings_bisect_batch(batch.coeffs, 0.0, [spec])[:, 0].tolist() == [0] * 5
     assert expected_crossings(_ens(6), spec).value == 0.0
 
 
@@ -163,7 +163,7 @@ def test_bisect_counts_deterministic_roots(real_roots, other_roots):
     coeffs = _from_roots(*real_roots, *other_roots)
     for spec in EDGE_SPECS:
         expect = sum(spec.lo <= r < spec.hi for r in real_roots)
-        (got,) = count_crossings_bisect_batch(coeffs[None, :], 0.0, spec)
+        (got,) = count_crossings_bisect_batch(coeffs[None, :], 0.0, [spec])[:, 0]
         assert got == expect, f"roots {real_roots} on {spec}"
         assert count_level_crossings(coeffs, 0.0, spec) == expect
 
@@ -189,9 +189,9 @@ def test_fused_pass_equals_reference_bit_for_bit(monkeypatch, d, chunk_bytes):
 
 def test_bisect_counts_do_not_depend_on_chunking(monkeypatch):
     batch = sample_coefficients(CovarianceModel.geometric(0.5), 64, 150, seed=3)
-    want = [count_crossings_bisect_batch(batch.coeffs, 0.7, spec).tolist() for spec in EDGE_SPECS]
+    want = [count_crossings_bisect_batch(batch.coeffs, 0.7, [spec])[:, 0].tolist() for spec in EDGE_SPECS]
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", SMALL_CHUNK)
-    got = [count_crossings_bisect_batch(batch.coeffs, 0.7, spec).tolist() for spec in EDGE_SPECS]
+    got = [count_crossings_bisect_batch(batch.coeffs, 0.7, [spec])[:, 0].tolist() for spec in EDGE_SPECS]
     assert got == want
 
 
@@ -200,9 +200,73 @@ def test_bisect_matches_companion_sweep(n):
     batch = sample_coefficients(CovarianceModel.geometric(0.5), n, 150, seed=100 + n)
     for K in (0.0, 0.7, 3.0):
         for spec in EDGE_SPECS:
-            counts = count_crossings_bisect_batch(batch.coeffs, K, spec)
+            counts = count_crossings_bisect_batch(batch.coeffs, K, [spec])[:, 0]
             expect = [count_level_crossings(row, K, spec) for row in batch.coeffs]
             assert counts.tolist() == expect, f"n = {n}, K = {K}, {spec}"
+
+
+@pytest.mark.parametrize("n", [8, 30, 64])
+def test_bisect_counts_all_intervals_in_one_call_as_companion(n):
+    batch = sample_coefficients(CovarianceModel.independent(), n, 200, seed=300 + n)
+    for K in (0.0, 1.5):
+        got = count_crossings_bisect_batch(batch.coeffs, K, EDGE_SPECS)
+        assert got.shape == (batch.count, len(EDGE_SPECS))
+        np.testing.assert_array_equal(got, montecarlo._companion_counts(batch.coeffs, K, EDGE_SPECS))
+
+
+def _check_polish_against_reference(monkeypatch):
+    """Patch the companion counter's polish to compare each call with the reference.
+
+    Returns the list of (candidates, verdicts agree, worst |x - reference| /
+    (eps (1 + |reference|))) for the calls made while the patch is on.
+    """
+    polish, seen = montecarlo._polish, []
+
+    def checked(table, col, x):
+        got, ok = polish(table, col, x)
+        want, want_ok = polish_reference(np.ascontiguousarray(table[::-1, 0][:, col]), x)
+        err = np.abs(got - want) / (np.finfo(float).eps * (1.0 + np.abs(want)))
+        seen.append((len(x), np.array_equal(ok, want_ok), float(err.max(initial=0.0))))
+        return got, ok
+
+    monkeypatch.setattr(montecarlo, "_polish", checked)
+    return seen
+
+
+@pytest.mark.parametrize("n, model, K", [
+    (50, CovarianceModel.geometric(0.5), 1.0),
+    (64, CovarianceModel.independent(), 3.0),
+])
+def test_polish_matches_reference_on_criterion_5_batch(monkeypatch, n, model, K):
+    # every tenth sample of criterion 5's batch, for time
+    coeffs = sample_coefficients(model, n, 10**4, seed=7).coeffs[::10]
+    seen = _check_polish_against_reference(monkeypatch)
+    montecarlo._companion_counts(coeffs, K, [FULL_LINE])
+    assert sum(m for m, _, _ in seen) > 2000
+    assert all(agree and err <= 4.0 for _, agree, err in seen), seen
+
+
+def test_polish_matches_reference_on_repeated_integer_roots(monkeypatch):
+    # criterion 10's polynomials, keeping those whose gcd with P' is not constant
+    rng = np.random.default_rng(20260826)
+    repeated, total = [], 0
+    while total < 1000:
+        ints = rng.integers(-9, 10, size=int(rng.integers(1, 7)) + 1)
+        if ints[-1] == 0 or not np.any(ints):
+            continue
+        frac = [Fraction(int(c)) for c in ints]
+        try:
+            sturm_count(frac, Fraction(-201, 2), Fraction(201, 2))
+        except ValueError:
+            continue
+        total += 1
+        if len(sturm_chain(frac)[-1]) > 1:
+            repeated.append(ints.astype(float))
+    assert repeated
+    seen = _check_polish_against_reference(monkeypatch)
+    for coeffs in repeated:
+        count_level_crossings(coeffs, 0.0, FULL_LINE)
+    assert all(agree and err <= 4.0 for _, agree, err in seen), seen
 
 
 def test_counters_match_sturm_oracle_small_batch():
