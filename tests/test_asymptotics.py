@@ -81,6 +81,9 @@ def test_interval_prediction_values(K, spec, expect):
     IntervalSpec(-0.5, 0.5), IntervalSpec(0.0, 1.0), IntervalSpec(1.0, 2.0),
     IntervalSpec(2.0, math.inf), IntervalSpec(-math.inf, -2.0), IntervalSpec(-2.0, 2.0),
     IntervalSpec(-1.0, 3.0),
+    # half lines that stop inside (-1, 1) hold a full tail but only part of the inner piece
+    IntervalSpec(0.0, math.inf), IntervalSpec(-math.inf, 0.5), IntervalSpec(-0.5, math.inf),
+    IntervalSpec(-math.inf, 0.0),
 ])
 @pytest.mark.parametrize("K", [0.0, 2.0])
 def test_interval_prediction_none_for_a_partial_piece(K, spec):
@@ -93,6 +96,12 @@ def test_interval_prediction_none_out_of_range():
     assert interval_prediction(100, 10.0, FULL_LINE) is None  # K^2 = n
     assert interval_prediction(100, -11.0, INNER) is None
     assert interval_prediction(100, 9.99, FULL_LINE) is not None
+
+
+@pytest.mark.parametrize("K", [1e-155, -1e-160, 1e-170])
+def test_interval_prediction_none_when_k_squared_underflows(K):
+    # n / K^2 overflows to inf (K^2 subnormal) or divides by zero (K^2 = 0)
+    assert interval_prediction(64, K, INNER) is None
 
 
 # -- edge arctan forms (oracle) --------------------------------------------------

@@ -319,6 +319,28 @@ def test_non_finite_json_value_is_null(capsys):
     assert code == 1
 
 
+def test_level_whose_square_underflows_gets_no_prediction(capsys):
+    code, out = _run(capsys, ["compute", "--n", "64", "--model", "independent",
+                              "--k", "1e-170", "--interval", "-1..1"])
+    assert code == 0
+    (row,) = _rows(out)
+    assert (row["prediction"], row["ratio"]) == ("", "")
+
+
+@pytest.mark.parametrize("argv, K", [
+    (["compute", "--k", "-2e-3"], -2e-3),
+    (["compute", "--k", "-1e-200"], -1e-200),
+    (["sweep", "--k-rule", "-2e-3"], -2e-3),
+    (["sweep", "--k-rule", "-1e-200"], -1e-200),
+])
+def test_negative_level_in_exponent_form_is_read(capsys, argv, K):
+    # argparse takes '-2e-3' for an option unless the value is glued to its flag
+    code, out = _run(capsys, argv + ["--n", "20", "--model", "independent", "--interval", "-1..1"])
+    assert code == 0
+    (row,) = _rows(out)
+    assert float(row["K"]) == K
+
+
 @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 1 << 40])
 def test_degree_above_quadrature_limit_is_refused(capsys, n):
     tracemalloc.start()
