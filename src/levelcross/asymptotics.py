@@ -21,55 +21,46 @@ __all__ = [
 ]
 
 
+def _in_regime(n: int, K: float) -> bool:
+    """n >= 3, and K = 0 (bounded) or K^2 < n with n / K^2 finite (growing)."""
+    k2 = K * K
+    return n >= 3 and (K == 0.0 or (0.0 < k2 < n and math.isfinite(n / k2)))
+
+
 def theorem_prediction(n: int, K: float, interval_class: str) -> float:
     """Leading-order expected crossings for the inner interval or the two tails.
 
     The inner class is (-1,1); the outer class is (-inf,-1) union (1,inf)
     (each single edge or tail carries half the class total).  K = 0 is the
     bounded regime, an o(log n) statement; any other K is the growing
-    regime, which needs K^2 < n and holds to O(log log n).
+    regime, which needs K^2 < n and n / K^2 finite, and holds to O(log log n).
     """
-    if n < 3:
-        raise ValueError(f"asymptotic prediction needs n >= 3, got {n}")
     if interval_class not in ("inner", "outer"):
         raise ValueError(f"interval_class must be 'inner' or 'outer', got {interval_class!r}")
-    if K != 0.0 and K * K >= n:
-        raise ValueError(f"growing regime requires K^2 < n, got K = {K}, n = {n}")
+    if not _in_regime(n, K):
+        raise ValueError(f"asymptotic prediction needs n >= 3 and K = 0 or n / K^2 in (1, inf), "
+                         f"got n = {n}, K = {K}")
     if K == 0.0 or interval_class == "outer":
         return math.log(n) / math.pi
     return math.log(n / (K * K)) / math.pi
 
 
+# spec.parts() of the whole analysis pieces: (-1, 1), then x > 1 and x < -1 as z = 1/x
+_PIECES = {(-1.0, 1.0, False): ("inner", 1.0), (0.0, 1.0, True): ("outer", 0.5),
+           (-1.0, -0.0, True): ("outer", 0.5)}
+
+
 def interval_prediction(n: int, K: float, spec) -> float | None:
     """Closed-form asymptote for intervals made of whole analysis pieces.
 
-    spec has .lo and .hi.  The inner interval (-1,1) and each full tail
-    carry their own term; intervals that only partially cover a piece get
-    no prediction.
+    Sums the terms of spec.parts(): the inner interval (-1,1) and each full
+    tail carry their own term.  An interval that covers only part of a
+    piece, or (n, K) outside the regime, gets no prediction.
     """
-    if n < 3 or (K != 0.0 and K * K >= n):
+    pieces = [_PIECES.get(part) for part in spec.parts()]
+    if not pieces or None in pieces or not _in_regime(n, K):
         return None
-    total = 0.0
-    covered = False
-    if spec.lo <= -1.0 and spec.hi >= 1.0:
-        total += theorem_prediction(n, K, "inner")
-        covered = True
-    elif -1.0 <= spec.lo and spec.hi <= 1.0:
-        if (spec.lo, spec.hi) != (-1.0, 1.0):
-            return None
-        total += theorem_prediction(n, K, "inner")
-        covered = True
-    if spec.hi > 1.0:
-        if spec.lo > 1.0 or not math.isinf(spec.hi):
-            return None
-        total += 0.5 * theorem_prediction(n, K, "outer")
-        covered = True
-    if spec.lo < -1.0:
-        if spec.hi < -1.0 or not math.isinf(spec.lo):
-            return None
-        total += 0.5 * theorem_prediction(n, K, "outer")
-        covered = True
-    return total if covered else None
+    return sum(weight * theorem_prediction(n, K, cls) for cls, weight in pieces)
 
 
 def fit_log_slope(ns, values) -> tuple[float, float, float]:

@@ -301,14 +301,15 @@ def run(cfg: RunConfig) -> int:
     return 1 if any(r["flagged"] for r in rows) else 0
 
 
-def _glue_interval_values(argv: list) -> list:
-    """Join '--interval -1..1' into '--interval=-1..1' so argparse does not
-    mistake interval bounds starting with '-' for option flags."""
+def _glue_values(argv: list) -> list:
+    """Join '--interval -1..1' into '--interval=-1..1' (likewise --n, --k and
+    --k-rule) so argparse does not mistake a value starting with '-', such
+    as the bound -1 or the level -2e-3, for an option flag."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--interval", "--n") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in ("--interval", "--n", "--k", "--k-rule") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_interval_values(list(argv)))
+    args = parser.parse_args(_glue_values(list(argv)))
     cfg = None
     try:
         cfg = _load_config(args)
