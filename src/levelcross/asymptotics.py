@@ -50,15 +50,16 @@ _PIECES = {(-1.0, 1.0, False): ("inner", 1.0), (0.0, 1.0, True): ("outer", 0.5),
            (-1.0, -0.0, True): ("outer", 0.5)}
 
 
-def interval_prediction(n: int, K: float, spec) -> float | None:
+def interval_prediction(n: int, K: float, spec, model) -> float | None:
     """Closed-form asymptote for intervals made of whole analysis pieces.
 
     Sums the terms of spec.parts(): the inner interval (-1,1) and each full
     tail carry their own term.  An interval that covers only part of a
-    piece, or (n, K) outside the regime, gets no prediction.
+    piece, (n, K) outside the regime, or the constant model (whose spectral
+    measure has an atom; Farahmand halves its count) gets no prediction.
     """
     pieces = [_PIECES.get(part) for part in spec.parts()]
-    if not pieces or None in pieces or not _in_regime(n, K):
+    if not pieces or None in pieces or not _in_regime(n, K) or model.kind == "constant_rho":
         return None
     return sum(weight * theorem_prediction(n, K, cls) for cls, weight in pieces)
 

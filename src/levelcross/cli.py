@@ -150,7 +150,7 @@ def _table(cfg: RunConfig) -> list[dict]:
         for spec, mc in zip(cfg.intervals, mcs):
             quad = None if cfg.command == "simulate" else expected_crossings(ens, spec, tol=cfg.tol)
             value, err = (mc.mean, mc.std_error) if sampled else (quad.value, quad.abs_err)
-            pred = interval_prediction(n, K, spec)
+            pred = interval_prediction(n, K, spec, model)
             row = {
                 "n": n, "K": K, "model": model.label,
                 "interval_lo": spec.lo, "interval_hi": spec.hi,

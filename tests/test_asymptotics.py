@@ -58,6 +58,7 @@ def test_prediction_out_of_regime():
 INNER = IntervalSpec(-1.0, 1.0)
 RIGHT_TAIL = IntervalSpec(1.0, math.inf)
 LEFT_TAIL = IntervalSpec(-math.inf, -1.0)
+IND = CovarianceModel.independent()
 
 
 # n = 1000: (1/pi) log n = 2.1988..., and at K = 2 the inner term is (1/pi) log(n/4)
@@ -74,7 +75,7 @@ LEFT_TAIL = IntervalSpec(-math.inf, -1.0)
     (2.0, IntervalSpec(-math.inf, 1.0), 2.8569389946521215),
 ])
 def test_interval_prediction_values(K, spec, expect):
-    assert interval_prediction(1000, K, spec) == expect
+    assert interval_prediction(1000, K, spec, IND) == expect
 
 
 @pytest.mark.parametrize("spec", [
@@ -87,21 +88,28 @@ def test_interval_prediction_values(K, spec, expect):
 ])
 @pytest.mark.parametrize("K", [0.0, 2.0])
 def test_interval_prediction_none_for_a_partial_piece(K, spec):
-    assert interval_prediction(1000, K, spec) is None
+    assert interval_prediction(1000, K, spec, IND) is None
 
 
 def test_interval_prediction_none_out_of_range():
-    assert interval_prediction(2, 0.0, FULL_LINE) is None
-    assert interval_prediction(2, 1.0, INNER) is None
-    assert interval_prediction(100, 10.0, FULL_LINE) is None  # K^2 = n
-    assert interval_prediction(100, -11.0, INNER) is None
-    assert interval_prediction(100, 9.99, FULL_LINE) is not None
+    assert interval_prediction(2, 0.0, FULL_LINE, IND) is None
+    assert interval_prediction(2, 1.0, INNER, IND) is None
+    assert interval_prediction(100, 10.0, FULL_LINE, IND) is None  # K^2 = n
+    assert interval_prediction(100, -11.0, INNER, IND) is None
+    assert interval_prediction(100, 9.99, FULL_LINE, IND) is not None
 
 
 @pytest.mark.parametrize("K", [1e-155, -1e-160, 1e-170])
 def test_interval_prediction_none_when_k_squared_underflows(K):
     # n / K^2 overflows to inf (K^2 subnormal) or divides by zero (K^2 = 0)
-    assert interval_prediction(64, K, INNER) is None
+    assert interval_prediction(64, K, INNER, IND) is None
+
+
+@pytest.mark.parametrize("spec", [INNER, RIGHT_TAIL, FULL_LINE])
+def test_interval_prediction_none_for_the_constant_model(spec):
+    # the constant lag is an atom in the spectral measure, outside the paper's f > 0
+    assert interval_prediction(1000, 0.0, spec, IND) is not None
+    assert interval_prediction(1000, 0.0, spec, CovarianceModel.constant(0.5)) is None
 
 
 # -- edge arctan forms (oracle) --------------------------------------------------

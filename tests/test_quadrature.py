@@ -288,7 +288,7 @@ def test_table_value_grows_logarithmically():
     # Dyadic steps add roughly (1/pi) ln 2 each.
     np.testing.assert_allclose(diffs, math.log(2) / math.pi, rtol=0.25)
     for n in ns:
-        assert interval_prediction(n, 0.0, spec)  # a prediction, and so a ratio
+        assert interval_prediction(n, 0.0, spec, CovarianceModel.independent())  # a prediction, and so a ratio
 
 
 def test_table_outer_f2_is_small():
