@@ -294,3 +294,42 @@ def test_table_value_grows_logarithmically():
 def test_table_outer_f2_is_small():
     est = expected_crossings(_ens(512, CovarianceModel.geometric(0.5), level=1.0), IntervalSpec(1.0, math.inf))
     assert est.f2_part <= 0.05 * est.value
+
+
+# -- exact oracle at n = 1 ------------------------------------------------------
+
+
+def _linear_crossings_oracle(rho, K, spec):
+    """P(a < (K - X0)/X1 < b) for unit normals X0, X1 with correlation rho.
+
+    Given X1 = x, X0 ~ N(rho x, 1 - rho^2), and the root lies in (a, b)
+    exactly when X0 lies between K - a x and K - b x: one integral over x
+    of a difference of normal CDFs.
+    """
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    from scipy.special import ndtr
+
+    s = math.sqrt(1.0 - rho * rho)
+
+    def integrand(x):
+        ends = (K - spec.lo * x, K - spec.hi * x)
+        lo, hi = min(ends), max(ends)
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * (
+            ndtr((hi - rho * x) / s) - ndtr((lo - rho * x) / s))
+
+    # split at x = 0, where an infinite bound times x is undefined
+    return sum(scipy_integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+               for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
+
+
+@pytest.mark.parametrize("model_text", ["independent", "raised_cosine", "custom_fourier:1,-0.4"])
+@pytest.mark.parametrize("K", [0.0, 1.3, 4.0])
+@pytest.mark.parametrize("interval", ["-1..1", "1..inf", "-inf..-1", "-0.3..2.5"])
+def test_linear_crossings_match_exact_oracle(model_text, K, interval):
+    # n = 1: the one root (K - X0)/X1 is a ratio of correlated normals, so
+    # E[N_K(a, b)] is a probability that shares no formula with F1 + F2
+    model = CovarianceModel.parse(model_text)
+    spec = IntervalSpec.parse(interval)
+    est = expected_crossings(_ens(1, model, level=K), spec, tol=1e-12)
+    rho = float(model.covariance(1)[1])
+    assert abs(est.value - _linear_crossings_oracle(rho, K, spec)) <= 1e-12
