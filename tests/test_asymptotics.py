@@ -85,6 +85,8 @@ def test_interval_prediction_values(K, spec, expect):
     # half lines that stop inside (-1, 1) hold a full tail but only part of the inner piece
     IntervalSpec(0.0, math.inf), IntervalSpec(-math.inf, 0.5), IntervalSpec(-0.5, math.inf),
     IntervalSpec(-math.inf, 0.0),
+    # so narrow beyond 1e308 that 1/lo == 1/hi: spec.parts() is empty
+    IntervalSpec(1e308, math.nextafter(1e308, math.inf)),
 ])
 @pytest.mark.parametrize("K", [0.0, 2.0])
 def test_interval_prediction_none_for_a_partial_piece(K, spec):
