@@ -309,7 +309,8 @@ def _glue_values(argv: list) -> list:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--interval", "--n", "--k", "--k-rule") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if (tok in ("--interval", "--n", "--k", "--k-rule") and i + 1 < len(argv)
+                and argv[i + 1].startswith("-")):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
