@@ -21,7 +21,9 @@ memory per point at any degree.
   then counted on every interval.  The matrices of a batch are solved in
   stacks, and all candidate roots of a stack are polished in one Newton
   pass, whose Horner pass at r = |x| also gives the backward-error scale
-  S0.  A sample is refused (count -1) when the eigensolver fails on it or
+  S0.  The stacks are solved on every CPU of the process's affinity mask,
+  one thread each, with no setting; the counts do not depend on how many
+  there are.  A sample is refused (count -1) when the eigensolver fails on it or
   a real eigenvalue fails the backward-error test after polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
   the whole sample batch and every interval at once, O(n) per
@@ -47,6 +49,8 @@ call.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,8 @@ _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
-_CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
-                        # bisection's Horner accumulators
+_CHUNK_BYTES = 2 << 20  # per chunk: the companion stacks of all threads, or
+                        # the bisection's Horner accumulators
 
 __all__ = [
     "SampleBatch",
@@ -305,16 +309,27 @@ def _count_real_roots(c: np.ndarray, low: int, specs) -> np.ndarray:
     return counts
 
 
+def _workers() -> int:
+    """The CPUs this process may run on: the companion counter's thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
     """Distinct real solutions of P(x) = K per row of coeffs and per interval.
 
     Each row's roots are found once: companion-matrix eigenvalues of the
     level-shifted polynomial, the candidates with small imaginary part
     polished by guarded Newton and verified by a relative backward-error
-    test, then de-duplicated.  Rows go in chunks whose companion matrices
-    take about _CHUNK_BYTES, each solved as one stack and polished in one
-    pass.  Returns counts of shape (rows, len(specs)); a row reads -1 where
-    the eigensolver failed or a strict candidate failed verification.
+    test, then de-duplicated.  Rows go in jobs, each solved as one stack and
+    polished in one pass, and the jobs are dealt out to one thread per CPU
+    of _workers(), the calling thread among them (np.linalg.eigvals
+    releases the GIL).  All threads' stacks together take about
+    _CHUNK_BYTES.  A row's count depends neither on its job nor on its
+    thread.  Returns counts of shape (rows, len(specs)); a row reads -1
+    where the eigensolver failed or a strict candidate failed verification.
     """
     c = np.array(coeffs, dtype=float, ndmin=2)
     c[:, 0] -= K
@@ -325,17 +340,41 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
     low = nonzero.argmax(axis=1)
     top = d - 1 - nonzero[:, ::-1].argmax(axis=1)
     counts = np.empty((c.shape[0], len(specs)), dtype=np.int64)
+    workers = _workers()
     # rows sharing (low, top) share a companion size; Gaussian rows are one group
     groups, which = np.unique(low * d + top, return_inverse=True)
-    with np.errstate(all="ignore"):
-        for g, key in enumerate(groups):
-            lo_zeros, deg = divmod(int(key), d)
-            rows = np.flatnonzero(which == g)
-            size = max(deg - lo_zeros, 1)
-            chunk = max(1, _CHUNK_BYTES // (8 * size * size))  # companion stack bytes
-            for s in range(0, len(rows), chunk):
-                part = rows[s : s + chunk]
-                counts[part] = _count_real_roots(c[part, : deg + 1], lo_zeros, specs)
+    jobs = []
+    for g, key in enumerate(groups):
+        lo_zeros, deg = divmod(int(key), d)
+        rows = np.flatnonzero(which == g)
+        size = max(deg - lo_zeros, 1)
+        # the stacks of all workers together take about _CHUNK_BYTES
+        cap = max(1, _CHUNK_BYTES // (workers * 8 * size * size))
+        parts = -(-len(rows) // cap)
+        parts = -(-parts // workers) * workers  # an equal share for every worker
+        jobs += [(part, lo_zeros, deg) for part in np.array_split(rows, min(parts, len(rows)))]
+    errors = []
+
+    def run(share):
+        try:
+            with np.errstate(all="ignore"):  # numpy's error state is per thread
+                for part, lo_zeros, deg in share:
+                    counts[part] = _count_real_roots(c[part, : deg + 1], lo_zeros, specs)
+        except Exception as exc:
+            errors.append(exc)
+
+    # the calling thread takes a share too; a single job starts no thread
+    w = max(1, min(workers, len(jobs)))
+    threads = [threading.Thread(target=run, args=(jobs[k::w],)) for k in range(1, w)]
+    for t in threads:
+        t.start()
+    try:
+        run(jobs[0::w])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return counts
 
 

@@ -1,6 +1,7 @@
 """Tests for coefficient sampling and Monte Carlo crossing counts."""
 
 import math
+import threading
 import warnings
 from fractions import Fraction
 
@@ -267,6 +268,78 @@ def test_polish_matches_reference_on_repeated_integer_roots(monkeypatch):
     for coeffs in repeated:
         count_level_crossings(coeffs, 0.0, FULL_LINE)
     assert all(agree and err <= 4.0 for _, agree, err in seen), seen
+
+
+def _mixed_shape_batch():
+    """Rows of four (low, top) shapes at n = 30, K = 0.5: some with zero low
+    coefficients after the level shift, some with zero top coefficients."""
+    coeffs = sample_coefficients(CovarianceModel.geometric(0.5), 30, 200, seed=21).coeffs
+    coeffs[1::2, -3:] = 0.0  # rows 1 and 3 mod 4: degree 27
+    for start in (2, 3):
+        coeffs[start::4, :2] = 0.5, 0.0  # rows 2 and 3 mod 4: two roots at 0
+    return coeffs, 0.5
+
+
+@pytest.mark.parametrize("batch", ["geometric_n50", "independent_n64", "mixed_shapes"])
+def test_companion_counts_do_not_depend_on_workers_or_chunking(monkeypatch, batch):
+    # criterion 5's two shapes (300 of its samples each), and a batch of mixed (low, top)
+    if batch == "mixed_shapes":
+        coeffs, K = _mixed_shape_batch()
+    else:
+        n, model, K = {"geometric_n50": (50, CovarianceModel.geometric(0.5), 1.0),
+                       "independent_n64": (64, CovarianceModel.independent(), 3.0)}[batch]
+        coeffs = sample_coefficients(model, n, 300, seed=7).coeffs
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    want = montecarlo._companion_counts(coeffs, K, EDGE_SPECS)
+    count_real_roots, threads = montecarlo._count_real_roots, set()
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return count_real_roots(*args)
+
+    monkeypatch.setattr(montecarlo, "_count_real_roots", recorded)
+    for chunk_bytes in (montecarlo._CHUNK_BYTES, 3 * 8 * 64 * 64):  # the latter: a few rows a job
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            threads.clear()
+            got = montecarlo._companion_counts(coeffs, K, EDGE_SPECS)
+            assert np.array_equal(got, want), (chunk_bytes, workers)
+            assert len(threads) == workers
+
+
+def test_companion_counts_one_row_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    assert count_level_crossings(np.array([-1.0, 0.0, 1.0]), 0.0, FULL_LINE) == 2
+    assert started == []
+
+
+def test_companion_worker_exception_reaches_the_caller(monkeypatch):
+    # a job run by a worker thread, not by the caller, raises
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    count_real_roots = montecarlo._count_real_roots
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("injected failure")
+        return count_real_roots(*args)
+
+    monkeypatch.setattr(montecarlo, "_count_real_roots", failing)
+    coeffs = sample_coefficients(CovarianceModel.independent(), 20, 300, seed=1).coeffs
+    with pytest.raises(RuntimeError, match="injected failure"):
+        montecarlo._companion_counts(coeffs, 0.0, [FULL_LINE])
+
+
+def test_companion_counter_emits_no_warning_from_worker_threads(monkeypatch):
+    # at K = 1e8 the polish of n = 128 overflows; every thread must keep it quiet
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 3)
+    e = _ens(128, level=1e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_crossings(e, FULL_LINE, count=300, seed=5, counter="companion")
+    assert est.rejected_fraction == 0.0
 
 
 def test_counters_match_sturm_oracle_small_batch():
