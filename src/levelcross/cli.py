@@ -4,7 +4,8 @@ Subcommands:
 
 * compute  -- Kac-Rice quadrature values for (n, K, model, intervals)
 * simulate -- Monte Carlo estimates for the same parameters
-* compare  -- both, with z-scores (mc - quadrature) / mc_err
+* compare  -- both, with z-scores (mc - quadrature) / mc_err; a row whose
+              legs disagree beyond their errors is flagged
 * sweep    -- crossing table over an n-list plus a log-slope summary
 
 Every command builds its rows in one loop: for each n it sets K = K(n),
@@ -133,6 +134,18 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[st
 METHODS = {"compute": "kac_rice", "sweep": "kac_rice", "simulate": "monte_carlo", "compare": "compare"}
 
 
+def _legs_disagree(mc, quad) -> bool:
+    """Whether the Monte Carlo and quadrature legs of a compare row disagree.
+
+    They do when |mc - quad| > 5 sqrt(SE^2 + abs_err^2); when SE = 0, every
+    sample gave the same count, and they do when |mc - quad| > 3 / count.
+    """
+    gap = abs(mc.mean - quad.value)
+    if mc.std_error > 0:
+        return gap > 5.0 * math.hypot(mc.std_error, quad.abs_err)
+    return mc.count > 0 and gap > 3.0 / mc.count
+
+
 def _table(cfg: RunConfig) -> list[dict]:
     """One row per (n, interval): quadrature, a Monte Carlo estimate, or both for compare.
 
@@ -161,10 +174,12 @@ def _table(cfg: RunConfig) -> list[dict]:
                 "prediction": pred,
                 "ratio": value / pred if pred else None,
             }
+            flagged = any(est.flagged for est in (quad, mc) if est)
             if cfg.command == "compare":
                 row["quad_value"] = quad.value
                 row["z"] = (mc.mean - quad.value) / mc.std_error if mc.std_error > 0 else None
-            row["flagged"] = any(est.flagged for est in (quad, mc) if est)
+                flagged = flagged or _legs_disagree(mc, quad)
+            row["flagged"] = flagged
             rows.append(row)
     return rows
 

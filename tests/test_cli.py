@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from levelcross import cli
 from levelcross.cli import main
-from levelcross.quadrature import MAX_DEGREE
+from levelcross.quadrature import MAX_DEGREE, expected_crossings
 
 from oracles import constant_covariance_crossings
 
@@ -158,6 +160,45 @@ def test_compare_z_scores_small(capsys):
         assert abs(float(row["z"])) <= 3.0
 
 
+def test_compare_flags_legs_that_disagree(capsys):
+    # at K = 1e150 quadrature misses the crossing near z = K^(-1/n) and reads 0,
+    # while bisection counts about one per sample
+    code, out = _run(capsys, ["compare", "--n", "50", "--model", "independent", "--k", "1e150",
+                              "--interval", "-inf..inf", "--counter", "bisect", "--count", "100"])
+    (row,) = _rows(out)
+    assert float(row["quad_value"]) == 0.0 and float(row["value"]) > 0.5
+    assert row["flagged"] == "1"
+    assert code == 1
+
+
+@pytest.mark.parametrize("shift, flagged", [(0.0, "0"), (0.01, "0"), (0.5, "1")])
+def test_compare_row_builder_flags_a_planted_disagreement(monkeypatch, capsys, shift, flagged):
+    # n = 1: every sample has exactly one crossing, so SE = 0 and the bound is 3 / count = 0.03
+    monkeypatch.setattr(cli, "expected_crossings",
+                        lambda *a, **k: replace(expected_crossings(*a, **k), value=1.0 + shift))
+    code, out = _run(capsys, ["compare", "--n", "1", "--model", "independent", "--k", "0",
+                              "--interval", "-inf..inf", "--count", "100"])
+    (row,) = _rows(out)
+    assert (row["value"], row["err"], row["z"], row["flagged"]) == ("1", "0", "", flagged)
+    assert code == int(flagged)
+
+
+@pytest.mark.parametrize("shift, flagged", [(0.0, "0"), (0.6, "1")])
+def test_compare_flag_weighs_both_errors(monkeypatch, capsys, shift, flagged):
+    # a quadrature leg moved by 0.6, far beyond 5 SE, passes when its abs_err admits it
+    def planted(*a, **k):
+        quad = expected_crossings(*a, **k)
+        return replace(quad, value=quad.value + 0.6, abs_err=0.6 - shift)
+
+    monkeypatch.setattr(cli, "expected_crossings", planted)
+    code, out = _run(capsys, ["compare", "--n", "20", "--model", "independent", "--k", "0",
+                              "--interval", "-1..1", "--count", "400", "--tol", "1"])
+    (row,) = _rows(out)
+    assert abs(float(row["z"])) > 5.0
+    assert row["flagged"] == flagged
+    assert code == int(flagged)
+
+
 def test_compare_deterministic(capsys):
     argv = ["compare", "--n", "20", "--model", "independent", "--k", "1",
             "--count", "300", "--seed", "42", "--interval", "-1..1"]
@@ -186,6 +227,7 @@ def test_sweep_emits_slope_comment(capsys):
     assert len(slope_lines) == 1
     slope = float(slope_lines[0].split("slope=")[1].split()[0])
     assert slope == pytest.approx(1.0 / math.pi, rel=0.3)
+
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
