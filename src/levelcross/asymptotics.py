@@ -3,7 +3,7 @@
 For a strictly positive spectral density the expected crossings behave as
 
     K bounded, f in C0:   E[N_K(-1,1)] ~ E[N_K(|x|>1)] ~ (1/pi) log n
-    K = o(sqrt(n/loglog n)), f in C1:
+    K = o(sqrt(n/loglog n)), f in C1, |K| >= 1:
         E[N_K(-1,1)]  = (1/pi) log(n/K^2) + O(log log n)
         E[N_K(|x|>1)] = (1/pi) log n      + O(log log n)
 """
@@ -34,15 +34,18 @@ def theorem_prediction(n: int, K: float, interval_class: str) -> float:
     (each single edge or tail carries half the class total).  K = 0 is the
     bounded regime, an o(log n) statement; any other K is the growing
     regime, which needs K^2 < n and n / K^2 finite, and holds to O(log log n).
+    The inner term is (1/pi) log(n / max(1, K^2)), so |K| < 1 takes the
+    bounded law: the growing law's log(n/K^2) would grow without bound as
+    K -> 0, where the count tends to its K = 0 value.
     """
     if interval_class not in ("inner", "outer"):
         raise ValueError(f"interval_class must be 'inner' or 'outer', got {interval_class!r}")
     if not _in_regime(n, K):
         raise ValueError(f"asymptotic prediction needs n >= 3 and K = 0 or n / K^2 in (1, inf), "
                          f"got n = {n}, K = {K}")
-    if K == 0.0 or interval_class == "outer":
+    if interval_class == "outer":
         return math.log(n) / math.pi
-    return math.log(n / (K * K)) / math.pi
+    return math.log(n / max(1.0, K * K)) / math.pi
 
 
 # spec.parts() of the whole analysis pieces: (-1, 1), then x > 1 and x < -1 as z = 1/x

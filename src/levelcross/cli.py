@@ -185,15 +185,22 @@ def _table(cfg: RunConfig) -> list[dict]:
 
 
 def _slope_lines(cfg: RunConfig, rows: list[dict]) -> list[str]:
-    """The log-slope fit of each interval's values, for intervals with at least 4 degrees."""
+    """The log-slope fit of each interval's values, for intervals with at least 4 degrees.
+
+    The target is the slope of the same fit over the rows' predictions, and
+    is empty when any row has none.
+    """
     lines = []
     for i, spec in enumerate(cfg.intervals):
         sub = rows[i::len(cfg.intervals)]
         if len(sub) >= 4:
-            slope, intercept, resid = fit_log_slope([r["n"] for r in sub], [r["value"] for r in sub])
+            ns = [r["n"] for r in sub]
+            slope, intercept, resid = fit_log_slope(ns, [r["value"] for r in sub])
+            preds = [r["prediction"] for r in sub]
+            target = None if None in preds else fit_log_slope(ns, preds)[0]
             lines.append(
                 f"interval {spec}: slope={_fmt(slope)} intercept={_fmt(intercept)} "
-                f"max_resid={_fmt(resid)} target={_fmt(1.0 / math.pi)}"
+                f"max_resid={_fmt(resid)} target={_fmt(target)}"
             )
     return lines
 

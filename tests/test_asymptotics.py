@@ -114,6 +114,14 @@ def test_interval_prediction_none_for_the_constant_model(spec):
     assert interval_prediction(1000, 0.0, spec, CovarianceModel.constant(0.5)) is None
 
 
+@pytest.mark.parametrize("K", [-2e-3, 1e-150])
+@pytest.mark.parametrize("n", [20, 64])
+def test_prediction_small_level_takes_the_bounded_law(n, K):
+    # log(n / K^2) would grow without bound as K -> 0; the count tends to its K = 0 value
+    assert theorem_prediction(n, K, "inner") == math.log(n) / math.pi
+    assert interval_prediction(n, K, INNER, IND) == math.log(n) / math.pi
+
+
 # -- edge arctan forms (oracle) --------------------------------------------------
 
 

@@ -229,6 +229,23 @@ def test_sweep_emits_slope_comment(capsys):
     assert slope == pytest.approx(1.0 / math.pi, rel=0.3)
 
 
+def _sweep_target(capsys, model, k_rule, interval):
+    code, out = _run(capsys, ["sweep", "--n", "16:128:x2", "--model", model,
+                              "--k-rule", k_rule, "--interval", interval])
+    (line,) = [l for l in out.splitlines() if l.startswith("#")]
+    return line.split("target=")[1]
+
+
+@pytest.mark.parametrize("interval, slope", [("-1..1", 1.0 / math.pi), ("-inf..inf", 2.0 / math.pi)])
+def test_sweep_target_is_the_slope_of_the_law(capsys, interval, slope):
+    # K = 0: the inner piece and the two tails each grow like (1/pi) log n
+    assert float(_sweep_target(capsys, "independent", "fixed:0", interval)) == pytest.approx(slope, rel=1e-12)
+
+
+def test_sweep_target_is_empty_without_predictions(capsys):
+    # the constant model gets no prediction, so its sweep has no target
+    assert _sweep_target(capsys, "constant:0.5", "fixed:0", "-1..1") == ""
+
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
