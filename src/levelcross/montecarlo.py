@@ -23,8 +23,9 @@ memory per point at any degree.
   pass, whose Horner pass at r = |x| also gives the backward-error scale
   S0.  The stacks are solved on every CPU of the process's affinity mask,
   one thread each, with no setting; the counts do not depend on how many
-  there are.  A sample is refused (count -1) when the eigensolver fails on it or
-  a real eigenvalue fails the backward-error test after polishing.
+  there are.  A sample is refused (count -1) when the eigensolver fails
+  on it or a real eigenvalue fails the backward-error test after
+  polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
   the whole sample batch and every interval at once, O(n) per
   evaluation.  Each live interval [a, b] (midpoint m, half-width h) gets

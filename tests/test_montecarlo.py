@@ -1,6 +1,7 @@
 """Tests for coefficient sampling and Monte Carlo crossing counts."""
 
 import math
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -298,14 +299,19 @@ def test_companion_counts_do_not_depend_on_workers_or_chunking(monkeypatch, batc
         return count_real_roots(*args)
 
     monkeypatch.setattr(montecarlo, "_count_real_roots", recorded)
-    for chunk_bytes in (montecarlo._CHUNK_BYTES, 3 * 8 * 64 * 64):  # the latter: a few rows a job
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-            threads.clear()
-            got = montecarlo._companion_counts(coeffs, K, EDGE_SPECS)
-            assert np.array_equal(got, want), (chunk_bytes, workers)
-            assert len(threads) == workers
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
+    try:
+        for chunk_bytes in (montecarlo._CHUNK_BYTES, 3 * 8 * 64 * 64):  # the latter: a few rows a job
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", chunk_bytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+                threads.clear()
+                got = montecarlo._companion_counts(coeffs, K, EDGE_SPECS)
+                assert np.array_equal(got, want), (chunk_bytes, workers)
+                assert len(threads) == workers
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_companion_counts_one_row_starts_no_thread(monkeypatch):
@@ -319,10 +325,10 @@ def test_companion_counts_one_row_starts_no_thread(monkeypatch):
 def test_companion_worker_exception_reaches_the_caller(monkeypatch):
     # a job run by a worker thread, not by the caller, raises
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
-    count_real_roots = montecarlo._count_real_roots
+    count_real_roots, caller = montecarlo._count_real_roots, threading.current_thread()
 
     def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
+        if threading.current_thread() is not caller:
             raise RuntimeError("injected failure")
         return count_real_roots(*args)
 
