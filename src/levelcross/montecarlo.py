@@ -21,11 +21,11 @@ memory per point at any degree.
   then counted on every interval.  The matrices of a batch are solved in
   stacks, and all candidate roots of a stack are polished in one Newton
   pass, whose Horner pass at r = |x| also gives the backward-error scale
-  S0.  The stacks are solved on every CPU of the process's affinity mask,
-  one thread each, with no setting; the counts do not depend on how many
-  there are.  A sample is refused (count -1) when the eigensolver fails
-  on it or a real eigenvalue fails the backward-error test after
-  polishing.
+  S0.  The stacks are solved on the CPUs of the process's affinity mask,
+  one thread each but never more threads than the batch has stacks, with
+  no setting; the counts do not depend on how many there are.  A sample
+  is refused (count -1) when the eigensolver fails on it or a real
+  eigenvalue fails the backward-error test after polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
   the whole sample batch and every interval at once, O(n) per
   evaluation.  Each live interval [a, b] (midpoint m, half-width h) gets
@@ -63,8 +63,8 @@ _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
-_CHUNK_BYTES = 2 << 20  # per chunk: the companion stacks of all threads, or
-                        # the bisection's Horner accumulators
+_CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
+                        # bisection's Horner accumulators
 
 __all__ = [
     "SampleBatch",
@@ -324,13 +324,15 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
     Each row's roots are found once: companion-matrix eigenvalues of the
     level-shifted polynomial, the candidates with small imaginary part
     polished by guarded Newton and verified by a relative backward-error
-    test, then de-duplicated.  Rows go in jobs, each solved as one stack and
-    polished in one pass, and the jobs are dealt out to one thread per CPU
-    of _workers(), the calling thread among them (np.linalg.eigvals
-    releases the GIL).  All threads' stacks together take about
-    _CHUNK_BYTES.  A row's count depends neither on its job nor on its
-    thread.  Returns counts of shape (rows, len(specs)); a row reads -1
-    where the eigensolver failed or a strict candidate failed verification.
+    test, then de-duplicated.  Rows go in jobs whose companion matrices
+    take at most about _CHUNK_BYTES, each solved as one stack and polished
+    in one pass.  The jobs are dealt out to at most one thread per CPU of
+    _workers(), the calling thread among them (np.linalg.eigvals releases
+    the GIL), and never to more threads than a batch has chunks, so no job
+    is much smaller than a chunk and at most one stack per thread is live.
+    A row's count depends neither on its job nor on its thread.  Returns
+    counts of shape (rows, len(specs)); a row reads -1 where the
+    eigensolver failed or a strict candidate failed verification.
     """
     c = np.array(coeffs, dtype=float, ndmin=2)
     c[:, 0] -= K
@@ -349,10 +351,11 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
         lo_zeros, deg = divmod(int(key), d)
         rows = np.flatnonzero(which == g)
         size = max(deg - lo_zeros, 1)
-        # the stacks of all workers together take about _CHUNK_BYTES
-        cap = max(1, _CHUNK_BYTES // (workers * 8 * size * size))
-        parts = -(-len(rows) // cap)
-        parts = -(-parts // workers) * workers  # an equal share for every worker
+        parts = -(-len(rows) // max(1, _CHUNK_BYTES // (8 * size * size)))
+        # as many threads as the group has chunks, at most, and an equal
+        # share for each: 300 rows of 104-row chunks on 2 CPUs make 4 jobs of 75
+        w = min(workers, parts)
+        parts = -(-parts // w) * w
         jobs += [(part, lo_zeros, deg) for part in np.array_split(rows, min(parts, len(rows)))]
     errors = []
 

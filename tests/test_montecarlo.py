@@ -322,9 +322,30 @@ def test_companion_counts_one_row_starts_no_thread(monkeypatch):
     assert started == []
 
 
+def test_companion_jobs_do_not_shrink_with_the_cpu_count(monkeypatch):
+    # mc_compare's batch: 300 rows at n = 50 fill three 104-row chunks; many
+    # CPUs must not cut it into tiny jobs, each paying the polish's fixed cost
+    coeffs = sample_coefficients(CovarianceModel.geometric(0.5), 50, 300, seed=1).coeffs
+    count_real_roots, jobs = montecarlo._count_real_roots, []
+
+    def recorded(c, *args):
+        jobs.append((threading.current_thread(), len(c)))
+        return count_real_roots(c, *args)
+
+    monkeypatch.setattr(montecarlo, "_count_real_roots", recorded)
+    for workers, sizes in ((1, [100, 100, 100]), (2, [75, 75, 75, 75]), (3, [100, 100, 100]),
+                           (64, [100, 100, 100])):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        jobs.clear()
+        montecarlo._companion_counts(coeffs, 1.0, EDGE_SPECS)
+        assert sorted(size for _, size in jobs) == sizes, workers
+        assert len({thread for thread, _ in jobs}) == min(workers, 3)
+
+
 def test_companion_worker_exception_reaches_the_caller(monkeypatch):
     # a job run by a worker thread, not by the caller, raises
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 20 * 20 * 100)  # 100 rows of n = 20 a chunk
     count_real_roots, caller = montecarlo._count_real_roots, threading.current_thread()
 
     def failing(*args):
