@@ -134,16 +134,23 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[st
 METHODS = {"compute": "kac_rice", "sweep": "kac_rice", "simulate": "monte_carlo", "compare": "compare"}
 
 
+# -ln P(|Z| > 5), about 14.4: (1 - p)^count <= P(|Z| > 5) once p >= this / count
+_ZERO_SE_RATE = -math.log(math.erfc(5.0 / math.sqrt(2.0)))
+
+
 def _legs_disagree(mc, quad) -> bool:
     """Whether the Monte Carlo and quadrature legs of a compare row disagree.
 
-    They do when |mc - quad| > 5 sqrt(SE^2 + abs_err^2); when SE = 0, every
-    sample gave the same count, and they do when |mc - quad| > 3 / count.
+    They do when |mc - quad| > 5 sqrt(SE^2 + abs_err^2).  When SE = 0, every
+    sample gave the same count, and they do when |mc - quad| > _ZERO_SE_RATE
+    / count + 5 abs_err: if a fraction p >= _ZERO_SE_RATE / count of the
+    samples counted otherwise, all would agree about as rarely as a normal
+    estimate strays 5 SE.
     """
     gap = abs(mc.mean - quad.value)
     if mc.std_error > 0:
         return gap > 5.0 * math.hypot(mc.std_error, quad.abs_err)
-    return mc.count > 0 and gap > 3.0 / mc.count
+    return mc.count > 0 and gap > _ZERO_SE_RATE / mc.count + 5.0 * quad.abs_err
 
 
 def _table(cfg: RunConfig) -> list[dict]:

@@ -171,11 +171,18 @@ def test_compare_flags_legs_that_disagree(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("shift, flagged", [(0.0, "0"), (0.01, "0"), (0.5, "1")])
-def test_compare_row_builder_flags_a_planted_disagreement(monkeypatch, capsys, shift, flagged):
-    # n = 1: every sample has exactly one crossing, so SE = 0 and the bound is 3 / count = 0.03
-    monkeypatch.setattr(cli, "expected_crossings",
-                        lambda *a, **k: replace(expected_crossings(*a, **k), value=1.0 + shift))
+@pytest.mark.parametrize("shift, abs_err, flagged", [
+    (0.0, None, "0"), (0.01, None, "0"), (0.143, None, "0"), (0.145, None, "1"), (0.5, None, "1"),
+    (0.5, 0.08, "0"),  # 5 abs_err = 0.4 widens the bound to 0.544
+])
+def test_compare_row_builder_flags_a_planted_disagreement(monkeypatch, capsys, shift, abs_err, flagged):
+    # n = 1: every sample has exactly one crossing, so SE = 0 and the bound is
+    # -ln P(|Z| > 5) / count + 5 abs_err = 0.1437 + 4e-9 at count 100
+    def planted(*a, **k):
+        quad = expected_crossings(*a, **k)
+        return replace(quad, value=1.0 + shift, abs_err=quad.abs_err if abs_err is None else abs_err)
+
+    monkeypatch.setattr(cli, "expected_crossings", planted)
     code, out = _run(capsys, ["compare", "--n", "1", "--model", "independent", "--k", "0",
                               "--interval", "-inf..inf", "--count", "100"])
     (row,) = _rows(out)
