@@ -21,11 +21,9 @@ from .montecarlo import (
     sample_coefficients,
 )
 from .quadrature import (
-    Breakpoints,
     CrossingEstimate,
     FULL_LINE,
     IntervalSpec,
-    breakpoints,
     expected_crossings,
 )
 from .spectrum import CovarianceModel

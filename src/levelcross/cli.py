@@ -34,13 +34,6 @@ from .moments import PolynomialEnsemble
 from .quadrature import IntervalSpec, expected_crossings
 from .spectrum import CovarianceModel
 
-COLUMNS = [
-    "n", "K", "model", "interval_lo", "interval_hi", "method",
-    "value", "err", "f1_part", "f2_part", "prediction", "ratio",
-]
-COMPARE_EXTRA = ["quad_value", "z"]
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -118,15 +111,16 @@ def _json_value(key: str, value):
     return None
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out, comments: list[str] = ()) -> None:
+def _emit(rows: list[dict], fmt: str, out, comments: list[str] = ()) -> None:
+    """Write rows, whose keys are the columns in output order, as CSV or JSON."""
     if fmt == "json":
         rows = [{k: _json_value(k, v) for k, v in row.items()} for row in rows]
         out.write(json.dumps({"rows": rows, "summary": list(comments)}, indent=2, allow_nan=False))
         out.write("\n")
         return
-    out.write(",".join(columns) + "\n")
+    out.write(",".join(rows[0]) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+        out.write(",".join(_fmt(v) for v in row.values()) + "\n")
     for line in comments:
         out.write(f"# {line}\n")
 
@@ -296,6 +290,8 @@ def _load_config(args) -> RunConfig:
         intervals_raw = ["-1..1", "1..inf"] if args.command == "compare" else ["-inf..inf"]
     if not isinstance(intervals_raw, list):
         intervals_raw = [intervals_raw]
+    if not intervals_raw:
+        raise ValueError("intervals: expected at least one interval 'a..b', got []")
 
     n_list = _typed("n", lambda v: _parse_n_spec(str(v)), n_text)
     # K(n): --k-rule, then --k, then the config's k_rule, then its k, then 0
@@ -320,13 +316,12 @@ def _load_config(args) -> RunConfig:
 
 def run(cfg: RunConfig) -> int:
     rows = _table(cfg)
-    columns = COLUMNS + (COMPARE_EXTRA if cfg.command == "compare" else []) + ["flagged"]
     comments = _slope_lines(cfg, rows) if cfg.command == "sweep" else []
     if cfg.output:
         with open(cfg.output, "w") as fh:
-            _emit(rows, columns, cfg.fmt, fh, comments)
+            _emit(rows, cfg.fmt, fh, comments)
     else:
-        _emit(rows, columns, cfg.fmt, sys.stdout, comments)
+        _emit(rows, cfg.fmt, sys.stdout, comments)
     return 1 if any(r["flagged"] for r in rows) else 0
 
 

@@ -238,18 +238,15 @@ def intensity(A, B, C, K: float, Bl, Cl, zpow=(1.0, 1.0, 1.0)):
     if np.any(G < -GRAM_EPS * ref):
         raise ValueError("degenerate moment triple encountered (AC - B^2 < 0 beyond tolerance)")
     G = np.clip(G, 0.0, None)
-    small = G <= GRAM_EPS * ref
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         if K == 0.0:
-            expfac = np.ones_like(G)
-        else:
-            arg = np.where(G > 0.0, K * K * z2n2 * Cl / (2.0 * G), np.inf)
-            expfac = np.where(small, 0.0, np.exp(-arg))
+            F1 = np.sqrt(G) / A / math.pi
+            return F1, np.zeros_like(F1)
+        small = G <= GRAM_EPS * ref
+        arg = np.where(G > 0.0, K * K * z2n2 * Cl / (2.0 * G), np.inf)
+        expfac = np.where(small, 0.0, np.exp(-arg))
         F1 = np.sqrt(G) / A * expfac / math.pi
-        if K == 0.0:
-            F2 = np.zeros_like(F1)
-        else:
-            erf_arg = np.where(G > 0.0, zn1 * np.abs(Bl) * K / np.sqrt(2.0 * A * G), np.inf)
-            pref = math.sqrt(2.0) / math.pi * zn1 * np.abs(Bl) * K / A**1.5
-            F2 = pref * np.exp(-K * K * z2n / (2.0 * A)) * erf_integral(erf_arg)
+        erf_arg = np.where(G > 0.0, zn1 * np.abs(Bl) * K / np.sqrt(2.0 * A * G), np.inf)
+        pref = math.sqrt(2.0) / math.pi * zn1 * np.abs(Bl) * K / A**1.5
+        F2 = pref * np.exp(-K * K * z2n / (2.0 * A)) * erf_integral(erf_arg)
     return F1, F2

@@ -62,6 +62,7 @@ from .spectrum import CovarianceModel, cholesky_factor, ring_spectrum
 _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
+_MIN_WIDTH = 1e-12     # relative width at which a bisection half counts its sign change
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
 _CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
                         # bisection's Horner accumulators
@@ -397,8 +398,8 @@ def count_level_crossings(coeffs, K: float = 0.0, spec: IntervalSpec = FULL_LINE
 # ---------------------------------------------------------------------------
 
 
-def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                          htol: float = 1e-12) -> np.ndarray:
+def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray) -> np.ndarray:
     """Sign crossings of polynomial col[i] on (lo[i], hi[i]), by certified bisection.
 
     table is _fused_pass's (d, 2, polynomials) table, and |lo|, |hi| <= 1;
@@ -411,7 +412,7 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
       the endpoint sign change;
     * otherwise it splits, and a half is dropped when an endpoint value
       exceeds S1 times its width (no root), or counts its sign change
-      once its width falls below htol (1 + |b|).
+      once its width falls below _MIN_WIDTH (1 + |b|).
     """
     d = table.shape[0]
     counts = np.zeros(len(lo), dtype=np.int64)
@@ -439,7 +440,7 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray, hi
         fu, fv = np.concatenate([fa, fm]), np.concatenate([fm, fb])
         width = v - u
         certified = np.maximum(np.abs(fu), np.abs(fv)) > s1 * width
-        tiny = width <= htol * (1.0 + np.abs(v))
+        tiny = width <= _MIN_WIDTH * (1.0 + np.abs(v))
         np.add.at(counts, i[tiny & ~certified & ((fu > 0) != (fv > 0))], 1)
         keep = ~(certified | tiny)
         i, a, b, fa, fb = i[keep], u[keep], v[keep], fu[keep], fv[keep]
@@ -456,14 +457,13 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndar
     """
     c = np.asarray(coeffs, dtype=float)
     m, d = c.shape
-    # polynomials 0..m-1: descending coefficients; m..2m-1: the reversed
-    # polynomial, whose descending form is the ascending original; each
-    # coefficient beside its absolute value
+    # polynomials m..2m-1: the reversed polynomial, whose descending form is
+    # the ascending original, shifted by K; 0..m-1: the same rows reversed,
+    # so the descending coefficients of P - K; each beside its absolute value
     table = np.empty((d, 2, 2 * m))
-    table[:, 0, :m] = c[:, ::-1].T
     table[:, 0, m:] = c.T
-    table[-1, 0, :m] -= K
     table[0, 0, m:] -= K
+    table[:, 0, :m] = table[::-1, 0, m:]
     np.abs(table[:, 0], out=table[:, 1])
     # one row (spec index, lo, hi, transformed) per part, m intervals each
     parts = np.array([(j, *part) for j, spec in enumerate(specs) for part in spec.parts()],
@@ -495,11 +495,10 @@ def estimate_crossings_per_interval(
     crossings are counted on every interval of specs, so the estimates are
     those of estimate_crossings on each interval alone.
     counter: "companion", "bisect", or "auto" (companion up to degree 128,
-    bisection beyond, where the eigen-solve cost dominates).  The companion
-    counter refuses a sample whose roots it cannot verify; a refused
-    fraction of 1e-3 or more flags the estimates.  Under "auto" the
-    refused samples are counted again by bisection instead, and method
-    reads "monte_carlo/companion+bisect".
+    bisection beyond).  The companion counter refuses a sample whose roots
+    it cannot verify; a refused fraction of 1e-3 or more flags the
+    estimates.  Under "auto" the refused samples are counted again by
+    bisection instead, and method reads "monte_carlo/companion+bisect".
     Deterministic for a fixed seed.
     """
     if count < 100:

@@ -6,9 +6,9 @@ parts beyond +-1, integrated in z = 1/x over [-1, 0) or (0, 1] with the
 1/z^2 Jacobian and scaled moments (see moments.scaled_outer_from_inner).
 Every part runs up to +-1 exactly: both integrands are finite on their
 whole range, z -> 0 included, and the Gauss-Kronrod nodes never touch a
-panel's endpoints.  The parts are further split at 0 and at the analysis
-breakpoints +-(1 - 1/log n) and +-(1 - log log n / n), then refined
-adaptively.
+panel's endpoints.  The parts are further split at 0 and, from n = 16 on,
+at the analysis breakpoints +-(1 - 1/log n) and +-(1 - log log n / n),
+then refined adaptively.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from .moments import (
 __all__ = [
     "FULL_LINE",
     "IntervalSpec",
-    "Breakpoints",
     "CrossingEstimate",
     "Piece",
-    "breakpoints",
     "expected_crossings",
 ]
 
@@ -89,23 +87,6 @@ FULL_LINE = IntervalSpec(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
-class Breakpoints:
-    """Magnitudes of the analysis breakpoints (applied symmetrically)."""
-
-    inner: float      # 1 - 1/log n
-    near_edge: float  # 1 - log log n / n
-
-
-def breakpoints(n: int) -> Breakpoints:
-    """Breakpoints for degree n; requires n >= 16 so the ordering holds."""
-    if n < 16:
-        raise ValueError(f"breakpoints need n >= 16, got {n}")
-    inner = 1.0 - 1.0 / math.log(n)
-    near_edge = 1.0 - math.log(math.log(n)) / n
-    return Breakpoints(inner=inner, near_edge=near_edge)
-
-
-@dataclass(frozen=True)
 class Piece:
     """Contribution of one panel group; (lo, hi) are in z for transformed pieces."""
 
@@ -122,7 +103,6 @@ class CrossingEstimate:
     value: float
     abs_err: float
     pieces: tuple
-    method: str = "kac_rice"
     flagged: bool = False
 
     @property
@@ -150,7 +130,6 @@ class KacRiceEvaluator:
         if ensemble.n > MAX_DEGREE:
             raise ValueError(f"degree n = {ensemble.n} is above the quadrature limit "
                              f"{MAX_DEGREE}: a moment batch needs memory in proportion to n")
-        self.ensemble = ensemble
         self.n = ensemble.n
         self.K = abs(ensemble.level)
         self.gamma = ensemble.model.covariance(ensemble.n)
@@ -201,6 +180,7 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+MAX_PANELS = 8192  # _adaptive_panels' cap on the panels of one estimate
 
 
 def _gk15(fun, a: float, b: float, transformed: bool):
@@ -215,12 +195,12 @@ def _gk15(fun, a: float, b: float, transformed: bool):
     return h * float(_WGK @ f1v), h * float(_WGK @ f2v), abs(k15 - g7)
 
 
-def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192) -> list:
+def _adaptive_panels(fun, segments, tol: float) -> list:
     """Global adaptive refinement over initial segments (a, b, transformed).
 
     One heap of (-err, order, Piece), ties broken by insertion order, and a
     running error sum: the worst panel is bisected until the sum is <= tol,
-    max_panels is reached, or the worst panel cannot be bisected in floating
+    MAX_PANELS is reached, or the worst panel cannot be bisected in floating
     point.  Returns the pieces; the caller flags a sum left above tol.
     """
     heap: list = []
@@ -235,7 +215,7 @@ def _adaptive_panels(fun, segments, tol: float, max_panels: int = 8192) -> list:
 
     for segment in segments:
         push(*segment)
-    while total > tol and len(heap) < max_panels:
+    while total > tol and len(heap) < MAX_PANELS:
         worst = heap[0][2]
         mid = 0.5 * (worst.lo + worst.hi)
         if not worst.lo < mid < worst.hi:
@@ -260,8 +240,9 @@ def _with_knots(a: float, b: float, knots) -> list:
 def _symmetric_knots(n: int) -> list:
     knots = [0.0]
     if n >= 16:
-        bp = breakpoints(n)
-        knots += [bp.inner, -bp.inner, bp.near_edge, -bp.near_edge]
+        inner = 1.0 - 1.0 / math.log(n)
+        near_edge = 1.0 - math.log(math.log(n)) / n
+        knots += [inner, -inner, near_edge, -near_edge]
     return knots
 
 

@@ -308,6 +308,7 @@ def test_config_null_fields_take_defaults(tmp_path, capsys):
     ({"count": "many"}, "count"),
     ({"seed": 1.7}, "seed"),
     ({"intervals": [[-1, 1]]}, "intervals"),
+    ({"interval": []}, "intervals"),
 ])
 def test_config_field_of_wrong_type_is_reported(tmp_path, capsys, fields, field):
     cfg = tmp_path / "run.json"

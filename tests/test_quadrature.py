@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from levelcross import quadrature
 from levelcross.asymptotics import interval_prediction
+from levelcross.cli import main
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import (
     FULL_LINE,
     MAX_DEGREE,
-    Breakpoints,
     CrossingEstimate,
     IntervalSpec,
     KacRiceEvaluator,
-    breakpoints,
+    _symmetric_knots,
     expected_crossings,
 )
 from levelcross.spectrum import CovarianceModel
@@ -46,22 +47,24 @@ def test_interval_requires_order():
 
 
 def test_breakpoints_large_n():
-    b = breakpoints(10**6)
-    assert b.inner == pytest.approx(1.0 - 1.0 / math.log(10**6))
-    assert b.inner == pytest.approx(0.927617, abs=1e-6)
-    assert b.near_edge == pytest.approx(1.0 - 2.6257e-6, abs=1e-9)
+    zero, inner, minus_inner, near_edge, minus_near_edge = _symmetric_knots(10**6)
+    assert zero == 0.0 and minus_inner == -inner and minus_near_edge == -near_edge
+    assert inner == pytest.approx(1.0 - 1.0 / math.log(10**6))
+    assert inner == pytest.approx(0.927617, abs=1e-6)
+    assert near_edge == pytest.approx(1.0 - 2.6257e-6, abs=1e-9)
 
 
 def test_breakpoints_n16():
-    b = breakpoints(16)
-    assert b.inner == pytest.approx(0.63933, abs=1e-5)
-    assert b.near_edge == pytest.approx(1.0 - math.log(math.log(16.0)) / 16.0, rel=1e-12)
-    assert b.inner < b.near_edge < 1.0
+    zero, inner, minus_inner, near_edge, minus_near_edge = _symmetric_knots(16)
+    assert zero == 0.0 and minus_inner == -inner and minus_near_edge == -near_edge
+    assert inner == pytest.approx(0.63933, abs=1e-5)
+    assert near_edge == pytest.approx(1.0 - math.log(math.log(16.0)) / 16.0, rel=1e-12)
+    assert inner < near_edge < 1.0
 
 
-def test_breakpoints_rejects_small_n():
-    with pytest.raises(ValueError):
-        breakpoints(15)
+def test_breakpoints_none_below_n16():
+    for n in (1, 2, 15):
+        assert _symmetric_knots(n) == [0.0]
 
 
 # -- expected_crossings exact cases -------------------------------------------
@@ -277,6 +280,18 @@ def test_transformed_covers_outer_mass():
     assert est.value == pytest.approx(total, rel=1e-8)
 
 
+def test_panel_cap_flags_the_estimate(monkeypatch, capsys):
+    # the full line at n = 64 starts as 12 segments: [-1, 1] cut at 0 and
+    # four breakpoints, and each z half cut at two
+    e = _ens(64, CovarianceModel.geometric(0.5), level=1.0)
+    assert not expected_crossings(e, FULL_LINE, tol=1e-12).flagged
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 12)
+    est = expected_crossings(e, FULL_LINE, tol=1e-12)
+    assert est.flagged and est.abs_err > 1e-12 and len(est.pieces) == 12
+    assert main(["compute", "--n", "64", "--model", "geometric:0.5", "--k", "1", "--tol", "1e-12"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith(",1")
+
+
 # -- degree sweeps ------------------------------------------------------------
 
 
@@ -333,3 +348,73 @@ def test_linear_crossings_match_exact_oracle(model_text, K, interval):
     est = expected_crossings(_ens(1, model, level=K), spec, tol=1e-12)
     rho = float(model.covariance(1)[1])
     assert abs(est.value - _linear_crossings_oracle(rho, K, spec)) <= 1e-12
+
+
+# -- exact oracle at n = 2 ------------------------------------------------------
+
+
+def _quadratic_crossings_oracle(gamma, K, spec):
+    """E[N_K(a, b)] for X0 + X1 x + X2 x^2 with stationary lags gamma[0..2].
+
+    Given (X1, X2), X0 is normal, and g(x) = K - X1 x - X2 x^2 is monotone
+    on each side of its vertex -X1/(2 X2): each monotone piece of (a, b)
+    holds one root exactly when X0 lies between g's values at the piece's
+    ends.  So the mean is a 2-D Gaussian integral of normal-CDF
+    differences, taken over X2 = t (split at 0, where the vertex leaves
+    every bound) and then over X1 given X2 (split where the vertex crosses
+    a or b).
+    """
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    from scipy.special import ndtr
+
+    r1, r2 = float(gamma[1]), float(gamma[2])
+    s1 = math.sqrt(1.0 - r1 * r1)  # X1 | X2 = t ~ N(r1 t, s1^2)
+    # X0 | (X1, X2) ~ N(c1 X1 + c2 X2, s0^2)
+    c1, c2 = (r1 - r1 * r2) / (1.0 - r1 * r1), (r2 - r1 * r1) / (1.0 - r1 * r1)
+    s0 = math.sqrt(1.0 - c1 * r1 - c2 * r2)
+    a, b = spec.lo, spec.hi
+
+    def count(x1, t):
+        def g(x):
+            return -math.copysign(math.inf, t) if math.isinf(x) else K - x1 * x - t * x * x
+
+        mu, v = c1 * x1 + c2 * t, -x1 / (2.0 * t)
+        total = 0.0
+        for p, q in ((a, min(b, v)), (max(a, v), b)):
+            if p < q:
+                lo, hi = sorted((g(p), g(q)))
+                total += ndtr((hi - mu) / s0) - ndtr((lo - mu) / s0)
+        return total
+
+    def given_x2(t):
+        lo, hi = r1 * t - 10.0 * s1, r1 * t + 10.0 * s1
+        kinks = [-2.0 * t * e for e in (a, b) if math.isfinite(e) and lo < -2.0 * t * e < hi]
+
+        def f(x1):
+            return math.exp(-0.5 * ((x1 - r1 * t) / s1) ** 2) / (s1 * math.sqrt(2.0 * math.pi)) * count(x1, t)
+
+        return scipy_integrate.quad(f, lo, hi, points=kinks or None, epsabs=1e-13, epsrel=1e-12,
+                                    limit=200)[0]
+
+    def outer(t):
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * given_x2(t)
+
+    return sum(scipy_integrate.quad(outer, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+               for lo, hi in ((-10.0, 0.0), (0.0, 10.0)))
+
+
+@pytest.mark.parametrize("model_text, K, interval", [
+    ("independent", 0.0, "-1..1"),
+    ("independent", 1.3, "-1..1"),
+    ("custom_fourier:1,-0.4", 1.3, "-0.3..2.5"),
+    ("raised_cosine", 1.3, "-inf..inf"),
+    ("geometric:0.5", 4.0, "1..inf"),
+])
+def test_quadratic_crossings_match_exact_oracle(model_text, K, interval):
+    # n = 2: one root per monotone piece of a parabola that X0 reaches, a
+    # probability that shares no formula with F1 + F2
+    model = CovarianceModel.parse(model_text)
+    spec = IntervalSpec.parse(interval)
+    est = expected_crossings(_ens(2, model, level=K), spec, tol=1e-12)
+    assert not est.flagged
+    assert abs(est.value - _quadratic_crossings_oracle(model.covariance(2), K, spec)) <= 1e-10
