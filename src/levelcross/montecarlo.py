@@ -15,10 +15,12 @@ memory per point at any degree.
 
 * the companion counter (_companion_counts; count_level_crossings for one
   polynomial): companion-matrix eigenvalues with acceptance thresholding,
-  guarded Newton refinement, and de-duplication.  Exact (matches a
-  rational Sturm oracle on small-degree polynomials) but O(n^3) per
-  sample.  Each sample's verified, distinct real roots are found once and
-  then counted on every interval.  The matrices of a batch are solved in
+  guarded Newton refinement, and de-duplication, where a root within 1e-7
+  (1 + |x|) of its predecessor merges into it.  O(n^3) per sample.  It
+  matches a rational Sturm oracle on small integer polynomials, triple
+  roots included, but (x-1)^4 counts 2 and (x-3)^4 counts 0, unrefused.
+  Each sample's verified, distinct real roots are found once and then
+  counted on every interval.  The matrices of a batch are solved in
   stacks, and all candidate roots of a stack are polished in one Newton
   pass, whose Horner pass at r = |x| also gives the backward-error scale
   S0.  The stacks are solved on the CPUs of the process's affinity mask,
@@ -37,10 +39,10 @@ memory per point at any degree.
   |P'(m)| > S2 h, which then counts the sign change P(a), P(b); and, on
   each half after a split, no root when an endpoint value exceeds S1
   times the width.  A half narrower than 1e-12 (1 + |b|) counts its sign
-  change, so tangencies and root pairs closer than that count as sign
-  crossings.  For Gaussian samples this equals the distinct-root count
-  almost surely.  Used by the estimator at large degree for speed; the
-  two counters are cross-checked in the tests.
+  change, so a multiple root counts rounding noise: 2 for (x-1)^2,
+  175,853 for (x-1/2)^3, unbounded memory for (x-1)^4.  Gaussian samples
+  have no multiple root almost surely.  Used by the estimator at large
+  degree for speed; the two counters are cross-checked in the tests.
 
 estimate_crossings_per_interval draws one batch per (ensemble, seed) and
 returns one estimate per interval; estimate_crossings is its one-interval
@@ -80,14 +82,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """count coefficient vectors of length n+1, from a fixed master seed."""
+    """count coefficient vectors of length n+1, one per row of coeffs."""
 
-    seed: int
     coeffs: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class MCEstimate:
     mean: float
     std_error: float
     count: int
-    interval: IntervalSpec
     rejected_fraction: float = 0.0
     flagged: bool = False
     counts: tuple = ()
@@ -129,13 +125,13 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
 
     if model.kind == "independent":
         out = rng.standard_normal((count, n + 1))
-        return SampleBatch(seed=seed, coeffs=out)
+        return SampleBatch(coeffs=out)
 
     if model.kind == "constant_rho":
         rho = model.rho
         z = rng.standard_normal((count, 1))
         y = rng.standard_normal((count, n + 1))
-        return SampleBatch(seed=seed, coeffs=math.sqrt(rho) * z + math.sqrt(1.0 - rho) * y)
+        return SampleBatch(coeffs=math.sqrt(rho) * z + math.sqrt(1.0 - rho) * y)
 
     lam = _circulant_eigenvalues(model, n)
     if lam is None:
@@ -145,22 +141,19 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
         for start in range(0, count, _RNG_CHUNK):
             stop = min(start + _RNG_CHUNK, count)
             out[start:stop] = rng.standard_normal((stop - start, n + 1)) @ lower.T
-        return SampleBatch(seed=seed, coeffs=out)
+        return SampleBatch(coeffs=out)
 
     m = len(lam)
     scale = np.sqrt(lam / m)
     out = np.empty((count, n + 1))
-    pairs_needed = (count + 1) // 2
-    written = 0
-    while written < 2 * pairs_needed:
-        k = min(_RNG_CHUNK, pairs_needed - written // 2)
+    # each complex draw gives two rows, its real and its imaginary part
+    for start in range(0, count, 2 * _RNG_CHUNK):
+        k = min(_RNG_CHUNK, (count - start + 1) // 2)
         z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
         w = np.fft.fft(scale * z, axis=1)
         block = np.concatenate([w.real[:, : n + 1], w.imag[:, : n + 1]])
-        take = min(2 * k, count - written)
-        out[written : written + take] = block[:take]
-        written += 2 * k
-    return SampleBatch(seed=seed, coeffs=out)
+        out[start : start + 2 * k] = block[: count - start]
+    return SampleBatch(coeffs=out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +286,10 @@ def _count_real_roots(c: np.ndarray, low: int, specs) -> np.ndarray:
 
     order = np.lexsort((x, row))
     row, x = row[order], x[order]
+    # a root within the radius of its predecessor in the same row merges into it
     close = np.zeros(len(x), dtype=bool)
     close[1:] = (row[1:] == row[:-1]) & (x[1:] - x[:-1] <= _DEDUPE * (1.0 + np.abs(x[1:])))
-    # a root within the radius of the last kept root of its row merges into
-    # it; the first root of a row, and each one clear of its predecessor, is kept
-    distinct = ~close
-    for i in np.flatnonzero(close):
-        j = i - 1
-        while not distinct[j]:
-            j -= 1
-        distinct[i] = not x[i] - x[j] <= _DEDUPE * (1.0 + abs(x[i]))
-    row, x = row[distinct], x[distinct]
+    row, x = row[~close], x[~close]
 
     for j, spec in enumerate(specs):
         counts[:, j] = np.bincount(row[(spec.lo <= x) & (x < spec.hi)], minlength=rows)
@@ -464,6 +450,8 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndar
     table[:, 0, m:] = c.T
     table[0, 0, m:] -= K
     table[:, 0, :m] = table[::-1, 0, m:]
+    if not table[:, 0, m:].any(axis=0).all():
+        raise ValueError("polynomial is identically zero after level shift")
     np.abs(table[:, 0], out=table[:, 1])
     # one row (spec index, lo, hi, transformed) per part, m intervals each
     parts = np.array([(j, *part) for j, spec in enumerate(specs) for part in spec.parts()],
@@ -527,7 +515,6 @@ def estimate_crossings_per_interval(
             mean=mean,
             std_error=se,
             count=len(valid),
-            interval=spec,
             rejected_fraction=frac,
             flagged=frac >= 1e-3,
             counts=tuple(int(v) for v in col),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from levelcross import cli
+from levelcross import cli, montecarlo
 from levelcross.cli import main
 from levelcross.quadrature import MAX_DEGREE, expected_crossings
 
@@ -452,6 +452,19 @@ def test_huge_monte_carlo_batch_is_refused():
     assert done.stderr == "error: out of memory at n = 1073741824 with count = 100\n"
 
 
+def test_out_of_memory_names_the_degrees_and_count(monkeypatch, capsys):
+    # the MemoryError handler, reached without allocating a real batch
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(montecarlo, "sample_coefficients", no_memory)
+    code = main(["simulate", "--n", "8,16", "--model", "independent", "--count", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory at n = 8,16 with count = 100\n"
+
+
 def test_long_custom_fourier_lags_are_checked_in_bounded_memory(tmp_path):
     # Fejer lags 1 - k/N: their Fourier sum is the nonnegative Fejer kernel.
     lags = ",".join(repr(1.0 - k / 100_000) for k in range(100_000))
@@ -478,6 +491,11 @@ def test_missing_n_is_reported(capsys):
     assert code == 2
 
 
+def test_missing_model_is_reported(capsys):
+    assert main(["compute", "--n", "8"]) == 2
+    assert capsys.readouterr().err.startswith("error: model: model is required")
+
+
 def test_n_spec_comma_list(capsys):
     code, out = _run(capsys, ["compute", "--n", "4,8", "--model", "independent",
                               "--k", "0", "--interval", "-1..1"])
@@ -490,6 +508,7 @@ def test_n_spec_comma_list(capsys):
      "k_rule: growing:c needs log log n > 0, so n >= 3; got n = 1"),
     (["sweep", "--n", "4,8", "--k-rule", "growing:abc"], "k_rule: could not convert"),
     (["simulate", "--n", "8", "--seed", "-1"], "seed: expected an integer in [0, 2**128), got -1"),
+    (["compute", "--n", "8", "--interval", "1:2"], "intervals: interval must look like 'a..b'"),
 ])
 def test_bad_flag_value_names_its_field(capsys, argv, err):
     assert main(argv + ["--model", "independent"]) == 2
@@ -498,7 +517,7 @@ def test_bad_flag_value_names_its_field(capsys, argv, err):
     assert captured.err.startswith(f"error: {err}")
 
 
-@pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2", "8,4", "4,4", "4,0"])
+@pytest.mark.parametrize("spec", ["0:10:x2", "-4:10:x2", "8:4:x2", "8,4", "4,4", "4,0", "8:64:2", "8:64:x1"])
 def test_bad_n_sweep_is_reported(capsys, spec):
     # degrees are >= 1 and strictly ascending on every command; stop < start sweeps nothing
     for command in ("compute", "simulate", "compare", "sweep"):

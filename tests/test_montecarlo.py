@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,7 +96,6 @@ def test_sampling_seed_reproducible():
 def test_sampling_shape():
     batch = sample_coefficients(CovarianceModel.independent(), 7, 40, seed=0)
     assert batch.coeffs.shape == (40, 8)
-    assert batch.count == 40
 
 
 # -- deterministic root counting -------------------------------------------------
@@ -119,11 +119,33 @@ def test_count_level_shift():
     assert count_level_crossings(np.array([0.0, 0.0, 1.0]), 4.0, IntervalSpec(-3.0, 3.0)) == 2
 
 
+@pytest.mark.parametrize("count", [
+    lambda c: count_level_crossings(c[0], 1.0, IntervalSpec(-1.0, 1.0)),
+    lambda c: count_crossings_bisect_batch(c, 1.0, [IntervalSpec(-1.0, 1.0)]),
+], ids=["companion", "bisect"])
+def test_identically_zero_polynomial_is_refused(count):
+    # P - K == 0: no bisection certificate holds anywhere, so it must not start
+    with pytest.raises(ValueError, match="identically zero after level shift"):
+        count(np.array([[1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("roots, expect", [
+    ((0.5, 0.5, 0.5), 1),
+    ((1.0, 1.0, 1.0, -2.0), 2),
+    ((1.0, 1.0, 2.0, 2.0, 2.0), 2),
+])
+def test_companion_merges_multiple_roots_as_sturm(roots, expect):
+    # a multiple root's eigenvalues scatter; the ones that pass as real count once
+    coeffs = polyfromroots(roots)
+    assert sturm_count([Fraction(c) for c in coeffs], -math.inf, math.inf) == expect
+    assert count_level_crossings(coeffs, 0.0, FULL_LINE) == expect
+
+
 def test_bisect_matches_companion_on_gaussian_samples():
     batch = sample_coefficients(CovarianceModel.geometric(0.5), 24, 400, seed=21)
     for spec in (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf)):
         counts = count_crossings_bisect_batch(batch.coeffs, 0.7, [spec])[:, 0]
-        assert len(counts) == batch.count
+        assert len(counts) == len(batch.coeffs)
         for row, got in zip(batch.coeffs, counts):
             assert count_level_crossings(row, 0.7, spec) == got
 
@@ -212,7 +234,7 @@ def test_bisect_counts_all_intervals_in_one_call_as_companion(n):
     batch = sample_coefficients(CovarianceModel.independent(), n, 200, seed=300 + n)
     for K in (0.0, 1.5):
         got = count_crossings_bisect_batch(batch.coeffs, K, EDGE_SPECS)
-        assert got.shape == (batch.count, len(EDGE_SPECS))
+        assert got.shape == (len(batch.coeffs), len(EDGE_SPECS))
         np.testing.assert_array_equal(got, montecarlo._companion_counts(batch.coeffs, K, EDGE_SPECS))
 
 
@@ -508,6 +530,11 @@ def test_estimate_counter_choice_consistent():
 def test_estimate_requires_minimum_count():
     with pytest.raises(ValueError):
         estimate_crossings(_ens(5), FULL_LINE, count=50)
+
+
+def test_estimate_rejects_unknown_counter():
+    with pytest.raises(ValueError, match="unknown counter 'fast'"):
+        estimate_crossings(_ens(5), FULL_LINE, count=100, counter="fast")
 
 
 def test_constant_model_estimates():

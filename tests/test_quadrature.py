@@ -292,6 +292,16 @@ def test_panel_cap_flags_the_estimate(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1].endswith(",1")
 
 
+def test_adaptive_panels_stop_at_a_panel_too_narrow_to_bisect():
+    # one float wide: its midpoint rounds to an end; F1 = node index squared,
+    # where Kronrod and Gauss disagree, so the error stays above tol = 0
+    def fun(pts, transformed):
+        return np.arange(len(pts), dtype=float) ** 2, np.zeros(len(pts))
+
+    (piece,) = quadrature._adaptive_panels(fun, [(1.0, math.nextafter(1.0, 2.0), False)], tol=0.0)
+    assert piece.err > 0.0
+
+
 # -- degree sweeps ------------------------------------------------------------
 
 
