@@ -1,8 +1,8 @@
 """Independent empirical oracle: sample coefficients, count real solutions.
 
 Coefficient vectors are drawn with the exact Toeplitz covariance (via
-circulant embedding, FFT-diagonalized, with a dense Cholesky fallback),
-the constant-covariance model is realized exactly as
+circulant embedding, FFT-diagonalized, on a ring that doubles until it is
+PSD), the constant-covariance model is realized exactly as
 X_k = sqrt(rho) Z + sqrt(1-rho) Y_k, and crossings of P_n(x) = K are
 counted per sample.
 
@@ -39,10 +39,12 @@ memory per point at any degree.
   |P'(m)| > S2 h, which then counts the sign change P(a), P(b); and, on
   each half after a split, no root when an endpoint value exceeds S1
   times the width.  A half narrower than 1e-12 (1 + |b|) counts its sign
-  change, so a multiple root counts rounding noise: 2 for (x-1)^2,
-  175,853 for (x-1/2)^3, unbounded memory for (x-1)^4.  Gaussian samples
-  have no multiple root almost surely.  Used by the estimator at large
-  degree for speed; the two counters are cross-checked in the tests.
+  change, so a multiple root counts rounding noise: 2 for (x-1)^2.  A
+  sample whose noise keeps more than 64 (n + 1) intervals live from one
+  interval, as at (x-1/2)^3, (x-1)^3 and (x-1)^4, is refused (count -1).
+  Gaussian samples have no multiple root almost surely.  Used by the
+  estimator at large degree for speed; the two counters are cross-checked
+  in the tests.
 
 estimate_crossings_per_interval draws one batch per (ensemble, seed) and
 returns one estimate per interval; estimate_crossings is its one-interval
@@ -59,12 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import FULL_LINE, IntervalSpec
-from .spectrum import CovarianceModel, cholesky_factor, ring_spectrum
+from .spectrum import CovarianceModel, ring_spectrum
 
 _IMAG_ACCEPT = 1e-8    # |imag| threshold for direct acceptance
 _IMAG_RESCUE = 1e-6    # candidates up to here kept only if refinement verifies
 _DEDUPE = 1e-7         # relative radius for merging root clusters
 _MIN_WIDTH = 1e-12     # relative width at which a bisection half counts its sign change
+_LIVE_PER_COEFF = 64   # bisection refuses an interval with more live descendants than this * d
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
 _CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
                         # bisection's Horner accumulators
@@ -103,16 +106,25 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _circulant_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray | None:
-    """FFT eigenvalues of the padded covariance ring, or None if not PSD."""
-    m = 1
-    while m < 4 * (n + 1):
-        m *= 2
-    try:
-        lam = np.clip(ring_spectrum(model.covariance(m // 2), m), 0.0, None)
-    except ValueError:
-        return None
-    return np.concatenate([lam, lam[-2:0:-1]])
+def _circulant_eigenvalues(model: CovarianceModel, n: int) -> tuple[np.ndarray, int]:
+    """FFT eigenvalues of the first PSD covariance ring, and the first ring's size m0.
+
+    The ring doubles from the power of two m0 >= 4(n + 1) while it is not
+    PSD, until it holds every nonzero lag (lags m/2..m all zero) and so
+    samples the Fourier sum; if that ring fails too, its ValueError goes out.
+    """
+    m0 = m = 1 << (4 * (n + 1) - 1).bit_length()
+    gamma = model.covariance(m // 2)
+    while True:
+        try:
+            lam = np.clip(ring_spectrum(gamma[: m // 2 + 1], m), 0.0, None)
+            break
+        except ValueError:
+            gamma = model.covariance(m)  # the next ring's lags, asked for only now
+            if not gamma[m // 2 :].any():
+                raise
+            m *= 2
+    return np.concatenate([lam, lam[-2:0:-1]]), m0
 
 
 def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -> SampleBatch:
@@ -133,22 +145,15 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
         y = rng.standard_normal((count, n + 1))
         return SampleBatch(coeffs=math.sqrt(rho) * z + math.sqrt(1.0 - rho) * y)
 
-    lam = _circulant_eigenvalues(model, n)
-    if lam is None:
-        # embedding not PSD for these lags: dense Toeplitz factorization
-        lower = cholesky_factor(model, n + 1)
-        out = np.empty((count, n + 1))
-        for start in range(0, count, _RNG_CHUNK):
-            stop = min(start + _RNG_CHUNK, count)
-            out[start:stop] = rng.standard_normal((stop - start, n + 1)) @ lower.T
-        return SampleBatch(coeffs=out)
-
+    lam, m0 = _circulant_eigenvalues(model, n)
     m = len(lam)
     scale = np.sqrt(lam / m)
+    # a grown ring draws fewer rows per block, so a block stays _RNG_CHUNK * m0 numbers
+    rows = max(1, _RNG_CHUNK * m0 // m)
     out = np.empty((count, n + 1))
     # each complex draw gives two rows, its real and its imaginary part
-    for start in range(0, count, 2 * _RNG_CHUNK):
-        k = min(_RNG_CHUNK, (count - start + 1) // 2)
+    for start in range(0, count, 2 * rows):
+        k = min(rows, (count - start + 1) // 2)
         z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
         w = np.fft.fft(scale * z, axis=1)
         block = np.concatenate([w.real[:, : n + 1], w.imag[:, : n + 1]])
@@ -399,6 +404,10 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray,
     * otherwise it splits, and a half is dropped when an endpoint value
       exceeds S1 times its width (no root), or counts its sign change
       once its width falls below _MIN_WIDTH (1 + |b|).
+
+    Interval i reads -1 once more than _LIVE_PER_COEFF d of its descendants
+    are live at one level, as at a multiple root, whose rounding noise
+    would otherwise split without bound.
     """
     d = table.shape[0]
     counts = np.zeros(len(lo), dtype=np.int64)
@@ -412,6 +421,11 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray,
     for _ in range(80):
         if len(a) == 0:
             break
+        refused = np.bincount(i, minlength=len(lo)) > _LIVE_PER_COEFF * d
+        if refused.any():
+            counts[refused] = -1
+            live = ~refused[i]
+            i, a, b, fa, fb = i[live], a[live], b[live], fa[live], fb[live]
         mid = 0.5 * (a + b)
         h = 0.5 * (b - a)
         fm, dfm, s0, s1, s2 = _fused_pass(table, col[i], mid, np.maximum(np.abs(a), np.abs(b)))
@@ -437,7 +451,8 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndar
     """Sign crossings of P(x) - K per row of coeffs and per interval of specs.
 
     Returns counts of shape (rows, len(specs)), as the companion counter
-    does.  The parts of every spec's parts() run as one bisection over one
+    does; a row that bisection refuses on any part reads -1 in every
+    column.  The parts of every spec's parts() run as one bisection over one
     table: the part in [-1, 1] on P itself, and each part beyond +-1 on the
     reversed polynomial z^n P(1/z), over its z = 1/x range.
     """
@@ -462,6 +477,7 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndar
     counts = np.empty((m, len(specs)), dtype=np.int64)
     for j in range(len(specs)):
         counts[:, j] = crossings[parts[:, 0] == j].sum(axis=0)
+    counts[(crossings < 0).any(axis=0)] = -1
     return counts
 
 
@@ -484,10 +500,10 @@ def estimate_crossings_per_interval(
     those of estimate_crossings on each interval alone.
     counter: "companion", "bisect", or "auto" (companion up to degree 128,
     bisection beyond).  The companion counter refuses a sample whose roots
-    it cannot verify; a refused fraction of 1e-3 or more flags the
-    estimates.  Under "auto" the refused samples are counted again by
-    bisection instead, and method reads "monte_carlo/companion+bisect".
-    Deterministic for a fixed seed.
+    it cannot verify, and bisection one at a multiple root; a refused
+    fraction of 1e-3 or more flags the estimates.  Under "auto" the refused
+    samples are counted again by bisection instead, and method reads
+    "monte_carlo/companion+bisect".  Deterministic for a fixed seed.
     """
     if count < 100:
         raise ValueError(f"need count >= 100 samples, got {count}")

@@ -10,7 +10,7 @@ given from outside (custom_fourier) must have a nonnegative Fourier sum
 
 the spectral density they are the Fourier coefficients of.  ring_spectrum
 checks that on an even ring of lags by one real FFT, and the sampler's
-circulant embedding uses the same check.  The constant model's spectral
+circulant embedding doubles its ring until the same check passes.  The constant model's spectral
 measure has an atom, so it has no density, but it has lags.
 """
 
@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-CHOLESKY_JITTER = 1e-12  # diagonal shift that keeps near-singular lag matrices factorable
 SPECTRUM_TOL = 1e-9  # ring eigenvalues down to -SPECTRUM_TOL are rounding of a zero
 MIN_RING = 4096  # from_fourier checks the Fourier sum at no fewer phi in [-pi, pi)
 
@@ -153,9 +152,3 @@ class CovarianceModel:
             raise ValueError(f"need m >= 0, got {m}")
         return np.array(self.lags(m), dtype=float)
 
-
-def cholesky_factor(model: CovarianceModel, size: int) -> np.ndarray:
-    """Lower Cholesky factor of Toeplitz(Gamma(0..size-1)) + CHOLESKY_JITTER * I."""
-    k = np.arange(size)
-    toeplitz = model.covariance(size - 1)[np.abs(k[:, None] - k)]
-    return np.linalg.cholesky(toeplitz + CHOLESKY_JITTER * np.eye(size))

@@ -476,6 +476,19 @@ def test_long_custom_fourier_lags_are_checked_in_bounded_memory(tmp_path):
     assert row["model"] == "fourier_sum" and row["flagged"] == "0"
 
 
+def test_long_custom_fourier_ring_grows_in_bounded_memory(tmp_path):
+    # The first sampler ring (32 points) cuts these lags short and is not PSD,
+    # so it doubles to 2^18 points, where it holds every nonzero lag; the draw
+    # block must not grow with it.
+    lags = ",".join(repr((1.0 - k / 100_000) * math.cos(0.3 * k)) for k in range(100_000))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "5", "model": f"custom_fourier:{lags}", "count": 400}))
+    done = _run_capped(["simulate", "--config", str(cfg)])
+    assert done.returncode == 0, done.stderr
+    (row,) = _rows(done.stdout)
+    assert row["model"] == "fourier_sum" and row["flagged"] == "0"
+
+
 @pytest.mark.parametrize("lags, err", [
     ("1,0.5", ""),
     ("1,0.5,0.5", "error: covariance sequence does not define a nonnegative density: min -1.989e-02 < 0\n"),

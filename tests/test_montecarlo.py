@@ -1,6 +1,9 @@
 """Tests for coefficient sampling and Monte Carlo crossing counts."""
 
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import warnings
@@ -15,7 +18,6 @@ from hypothesis import strategies as st
 from levelcross import montecarlo
 from levelcross.cli import main
 from levelcross.montecarlo import (
-    _circulant_eigenvalues,
     count_crossings_bisect_batch,
     count_level_crossings,
     estimate_crossings,
@@ -24,7 +26,7 @@ from levelcross.montecarlo import (
 )
 from levelcross.moments import PolynomialEnsemble
 from levelcross.quadrature import FULL_LINE, IntervalSpec, expected_crossings
-from levelcross.spectrum import CovarianceModel
+from levelcross.spectrum import CovarianceModel, ring_spectrum
 
 from oracles import empirical_covariance, fused_pass_reference, polish_reference, sturm_chain, sturm_count
 
@@ -60,19 +62,31 @@ def test_sampling_unit_variance():
     assert abs(est - 1.0) <= 5.0 * se
 
 
-# Lags with a nonnegative Fourier sum whose sampler ring is not PSD at n = 1..7,
-# so sample_coefficients falls back to the dense Cholesky factor there.
+# Lags with a nonnegative Fourier sum whose first sampler ring is not PSD at
+# n = 1..7, so sample_coefficients grows the ring there (to 64 points).
 RING_NOT_PSD = [(1.0 - k / 21.0) * math.cos(0.3 * k) for k in range(21)]
 
 
-def test_dense_fallback_draws_the_toeplitz_covariance():
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_grown_ring_draws_the_toeplitz_covariance(n):
     model = CovarianceModel.from_fourier(RING_NOT_PSD)
-    assert _circulant_eigenvalues(model, 5) is None
-    x = sample_coefficients(model, 5, 20_000, seed=7).coeffs
-    k = np.arange(6)
-    toeplitz = model.covariance(5)[np.abs(k[:, None] - k)]
+    m0 = 1 << (4 * (n + 1) - 1).bit_length()  # the first ring's size
+    with pytest.raises(ValueError):
+        ring_spectrum(model.covariance(m0 // 2), m0)
+    x = sample_coefficients(model, n, 20_000, seed=7).coeffs
+    k = np.arange(n + 1)
+    toeplitz = model.covariance(n)[np.abs(k[:, None] - k)]
     se = np.sqrt((1.0 + toeplitz**2) / len(x))  # Var(x_i x_j) = 1 + Gamma(|i - j|)^2
     assert np.all(np.abs(x.T @ x / len(x) - toeplitz) <= 5.0 * se)
+
+
+def test_ring_that_holds_every_lag_and_is_not_psd_is_refused():
+    # 1 + cos(phi) + cos(2 phi) dips to -1/8: no stationary sequence has these
+    # lags (from_fourier refuses them), and the ring stops doubling once it
+    # holds them all
+    model = CovarianceModel("unchecked", lambda m: ((1.0, 0.5, 0.5) + (0.0,) * m)[: m + 1])
+    with pytest.raises(ValueError, match="does not define a nonnegative density"):
+        sample_coefficients(model, 5, 10, seed=0)
 
 
 def test_dense_fallback_compare_agrees_with_quadrature(capsys):
@@ -139,6 +153,39 @@ def test_companion_merges_multiple_roots_as_sturm(roots, expect):
     coeffs = polyfromroots(roots)
     assert sturm_count([Fraction(c) for c in coeffs], -math.inf, math.inf) == expect
     assert count_level_crossings(coeffs, 0.0, FULL_LINE) == expect
+
+
+@pytest.mark.parametrize("roots, simple, expect", [
+    ((1.0, 1.0, 1.0), (-2.0, 0.5, 3.0), [3, 1]),
+    ((1.0, 1.0, 1.0, 1.0), (-2.0, -0.5, 0.5, 3.0), [4, 2]),
+])
+def test_bisection_refuses_a_multiple_root_in_bounded_memory(roots, simple, expect):
+    # rounding noise at a multiple root used to split without bound, and at
+    # (x-1)^4 took memory until the process was killed; a row of simple roots
+    # beside it keeps its counts on the line and on [-1, 1)
+    code = f"""
+import time
+import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
+from levelcross.montecarlo import count_crossings_bisect_batch
+from levelcross.quadrature import FULL_LINE, IntervalSpec
+rows = np.array([polyfromroots({roots!r}), polyfromroots({simple!r})])
+start = time.perf_counter()
+counts = count_crossings_bisect_batch(rows, 0.0, [FULL_LINE, IntervalSpec(-1.0, 1.0)])
+print(counts.tolist(), time.perf_counter() - start)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts, seconds = done.stdout.rsplit(" ", 1)
+    assert counts == f"{[[-1, -1], expect]}"
+    assert float(seconds) < 1.0
 
 
 def test_bisect_matches_companion_on_gaussian_samples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelcross.spectrum import CHOLESKY_JITTER, CovarianceModel, cholesky_factor, ring_spectrum
+from levelcross.spectrum import CovarianceModel, ring_spectrum
 
 from oracles import SpectralDensity, covariance_from_density, positivity_bounds
 from oracles import geometric_density, independent_density, raised_cosine_density
@@ -177,22 +177,6 @@ def test_sample_covariance_matrix_positive_definite():
     cov = _toeplitz(CovarianceModel.geometric(0.9).covariance(19))
     w = np.linalg.eigvalsh(cov)
     assert w.min() > 0
-
-
-def test_cholesky_factor_reconstructs():
-    model = CovarianceModel.geometric(0.5)
-    L = cholesky_factor(model, 8)
-    np.testing.assert_allclose(L @ L.T, _toeplitz(model.covariance(7)), atol=1e-10)
-
-
-@pytest.mark.parametrize("size", [1, 8, 64, 200, 513])
-def test_dense_factor_matches_scipy(size):
-    from scipy import linalg
-
-    model = CovarianceModel.geometric(0.9)
-    jittered = linalg.toeplitz(model.covariance(size - 1)) + CHOLESKY_JITTER * np.eye(size)
-    want = linalg.cholesky(jittered, lower=True)
-    assert np.max(np.abs(cholesky_factor(model, size) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @given(st.floats(min_value=0.01, max_value=0.95), st.integers(min_value=1, max_value=12))
