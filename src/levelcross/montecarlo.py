@@ -22,12 +22,12 @@ memory per point at any degree.
   Each sample's verified, distinct real roots are found once and then
   counted on every interval.  The matrices of a batch are solved in
   stacks, and all candidate roots of a stack are polished in one Newton
-  pass, whose Horner pass at r = |x| also gives the backward-error scale
-  S0.  The stacks are solved on the CPUs of the process's affinity mask,
-  one thread each but never more threads than the batch has stacks, with
-  no setting; the counts do not depend on how many there are.  A sample
-  is refused (count -1) when the eigensolver fails on it or a real
-  eigenvalue fails the backward-error test after polishing.
+  pass, whose Horner pass at r = |x| gives the backward-error scale S0,
+  or at 1/x on the reversed polynomial where S0 overflows.  A thread pool
+  solves the stacks, a thread per CPU of the affinity mask but no more
+  than there are stacks; the counts do not depend on the threads.  A
+  sample is refused (count -1) when the eigensolver fails on it or a
+  real eigenvalue fails the backward-error test after polishing.
 * count_crossings_bisect_batch: certified sign-change bisection, run on
   the whole sample batch and every interval at once, O(n) per
   evaluation.  Each live interval [a, b] (midpoint m, half-width h) gets
@@ -41,7 +41,8 @@ memory per point at any degree.
   times the width.  A half narrower than 1e-12 (1 + |b|) counts its sign
   change, so a multiple root counts rounding noise: 2 for (x-1)^2.  A
   sample whose noise keeps more than 64 (n + 1) intervals live from one
-  interval, as at (x-1/2)^3, (x-1)^3 and (x-1)^4, is refused (count -1).
+  interval, as at (x-1/2)^3, (x-1)^3 and (x-1)^4, is refused (count -1),
+  and so is every sample once n |K| overflows: the bound S1 is then inf.
   Gaussian samples have no multiple root almost surely.  Used by the
   estimator at large degree for speed; the two counters are cross-checked
   in the tests.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +140,7 @@ def sample_coefficients(model: CovarianceModel, n: int, count: int, seed: int) -
         return SampleBatch(coeffs=out)
 
     if model.kind == "constant_rho":
-        rho = model.rho
+        rho = model.covariance(1)[1]
         z = rng.standard_normal((count, 1))
         y = rng.standard_normal((count, n + 1))
         return SampleBatch(coeffs=math.sqrt(rho) * z + math.sqrt(1.0 - rho) * y)
@@ -215,7 +215,8 @@ def _polish(table: np.ndarray, col: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
     16 Newton steps, each capped at (1 + |x|) / 2, and stops early when
     P'(x) = 0, P(x) is not finite, or the step falls to 1e-15 (1 + |x|).
     Returns the roots and whether each passes the relative backward-error
-    test |P(x)| <= 1e-9 S0(|x|), S0(r) = sum |a_k| r^k.
+    test |P(x)| <= 1e-9 S0(|x|), S0(r) = sum |a_k| r^k, or where S0(|x|)
+    overflows, the same test on the reversed polynomial at 1/x.
     """
     x = x.copy()
     live = np.arange(len(x))
@@ -233,13 +234,17 @@ def _polish(table: np.ndarray, col: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
         x[live] = xl
         live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
     p, _, scale = _fused_pass(table, col, x, np.abs(x))[:3]
+    # where |x|^n overflows: the reversed polynomial at 1/x, its sums times |x|^-n
+    far = ~np.isfinite(scale)
+    z = 1.0 / x[far]
+    p[far], _, scale[far] = _fused_pass(table[::-1], col[far], z, np.abs(z))[:3]
     return x, np.abs(p) <= 1e-9 * np.maximum(scale, 1e-300)
 
 
 def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of each row's companion matrix, in np.roots' layout.
 
-    p holds descending coefficients, one polynomial of degree >= 1 per row,
+    p holds descending coefficients, one polynomial of degree >= 0 per row,
     with p[:, 0] != 0.  The matrices are solved as one stack; if the
     eigensolver refuses the stack, row by row.  Returns (roots, solved),
     with roots NaN where solved is False.
@@ -247,7 +252,7 @@ def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, d = p.shape[0], p.shape[1] - 1
     a = np.zeros((rows, d, d))
     a[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    a[:, 0, :] = -p[:, 1:] / p[:, :1]
+    a[:, :1, :] = (-p[:, 1:] / p[:, :1])[:, None, :]
     solved = np.ones(rows, dtype=bool)
     try:
         return np.linalg.eigvals(a), solved
@@ -269,10 +274,7 @@ def _count_real_roots(c: np.ndarray, low: int, specs) -> np.ndarray:
     rows = c.shape[0]
     counts = np.zeros((rows, len(specs)), dtype=np.int64)
     # np.roots strips the low zero coefficients and returns them as roots at 0
-    if c.shape[1] - low > 1:
-        roots, solved = _companion_eigvals(c[:, low:][:, ::-1])
-    else:
-        roots, solved = np.empty((rows, 0), dtype=complex), np.ones(rows, dtype=bool)
+    roots, solved = _companion_eigvals(c[:, low:][:, ::-1])
     roots = np.concatenate([roots, np.zeros((rows, low), dtype=complex)], axis=1)
     re = roots.real
     im = np.abs(roots.imag)
@@ -318,14 +320,16 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
     polished by guarded Newton and verified by a relative backward-error
     test, then de-duplicated.  Rows go in jobs whose companion matrices
     take at most about _CHUNK_BYTES, each solved as one stack and polished
-    in one pass.  The jobs are dealt out to at most one thread per CPU of
-    _workers(), the calling thread among them (np.linalg.eigvals releases
-    the GIL), and never to more threads than a batch has chunks, so no job
-    is much smaller than a chunk and at most one stack per thread is live.
-    A row's count depends neither on its job nor on its thread.  Returns
-    counts of shape (rows, len(specs)); a row reads -1 where the
-    eigensolver failed or a strict candidate failed verification.
+    in one pass.  The jobs are dealt out to the calling thread and a
+    ThreadPoolExecutor, at most one thread per CPU of _workers() in all
+    (np.linalg.eigvals releases the GIL) and never more than a batch has
+    chunks, so no job is much smaller than a chunk and at most one stack
+    per thread is live.  A row's count depends neither on its job nor on
+    its thread.  Returns counts of shape (rows, len(specs)); a row reads
+    -1 where the eigensolver failed or a strict candidate failed
+    verification.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, as it loads logging
     c = np.array(coeffs, dtype=float, ndmin=2)
     c[:, 0] -= K
     nonzero = c != 0.0
@@ -349,28 +353,19 @@ def _companion_counts(coeffs: np.ndarray, K: float, specs) -> np.ndarray:
         w = min(workers, parts)
         parts = -(-parts // w) * w
         jobs += [(part, lo_zeros, deg) for part in np.array_split(rows, min(parts, len(rows)))]
-    errors = []
 
     def run(share):
-        try:
-            with np.errstate(all="ignore"):  # numpy's error state is per thread
-                for part, lo_zeros, deg in share:
-                    counts[part] = _count_real_roots(c[part, : deg + 1], lo_zeros, specs)
-        except Exception as exc:
-            errors.append(exc)
+        with np.errstate(all="ignore"):  # numpy's error state is per thread
+            for part, lo_zeros, deg in share:
+                counts[part] = _count_real_roots(c[part, : deg + 1], lo_zeros, specs)
 
-    # the calling thread takes a share too; a single job starts no thread
+    # the caller works a share too, and the pool starts threads only on submit
     w = max(1, min(workers, len(jobs)))
-    threads = [threading.Thread(target=run, args=(jobs[k::w],)) for k in range(1, w)]
-    for t in threads:
-        t.start()
-    try:
+    with ThreadPoolExecutor(max(1, w - 1)) as pool:
+        helpers = [pool.submit(run, jobs[k::w]) for k in range(1, w)]
         run(jobs[0::w])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+        for helper in helpers:
+            helper.result()  # re-raises a helper's error, after the with joins every thread
     return counts
 
 
@@ -411,8 +406,6 @@ def _batch_sign_crossings(table: np.ndarray, col: np.ndarray, lo: np.ndarray,
     """
     d = table.shape[0]
     counts = np.zeros(len(lo), dtype=np.int64)
-    if d < 2:
-        return counts
     i = np.flatnonzero(lo < hi)  # each live interval by its index in lo, hi
     a, b = lo[i], hi[i]
     fa = _fused_pass(table, col[i], a, np.abs(a))[0]
@@ -473,7 +466,8 @@ def count_crossings_bisect_batch(coeffs: np.ndarray, K: float, specs) -> np.ndar
                      dtype=float).reshape(-1, 4)
     lo, hi, transformed = (np.repeat(v, m) for v in parts[:, 1:].T)
     col = np.tile(np.arange(m), len(parts)) + m * transformed.astype(np.int64)
-    crossings = _batch_sign_crossings(table, col, lo, hi).reshape(len(parts), m)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums overflow at huge |K|
+        crossings = _batch_sign_crossings(table, col, lo, hi).reshape(len(parts), m)
     counts = np.empty((m, len(specs)), dtype=np.int64)
     for j in range(len(specs)):
         counts[:, j] = crossings[parts[:, 0] == j].sum(axis=0)

@@ -57,15 +57,14 @@ class CovarianceModel:
     """A named covariance model: the lags m -> Gamma(0..m).
 
     Every consumer, quadrature and sampler alike, takes the lags from
-    covariance(m).  kind marks the two models the sampler draws by an
-    exact construction, "independent" and "constant_rho" (rho is the
-    constant lag); every other model is "lags".
+    covariance(m), the constant model's rho too.  kind marks the two models
+    the sampler draws by an exact construction, "independent" and
+    "constant_rho"; every other model is "lags".
     """
 
     label: str
     lags: Callable[[int], Sequence[float]]
     kind: str = "lags"
-    rho: float | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -99,7 +98,7 @@ class CovarianceModel:
         if not 0.0 < rho < 1.0:
             raise ValueError(f"constant covariance needs rho in (0,1), got {rho}")
         return CovarianceModel(f"constant:{rho:g}", lambda m: (1.0,) + (rho,) * m,
-                               kind="constant_rho", rho=rho)
+                               kind="constant_rho")
 
     @staticmethod
     def from_fourier(gamma: Sequence[float]) -> "CovarianceModel":
@@ -116,9 +115,7 @@ class CovarianceModel:
         if bad:
             named = ", ".join(f"Gamma({k}) = {g[k]}" for k in bad)
             raise ValueError(f"covariance lags must be finite, got {named}")
-        size = MIN_RING
-        while size < 2 * len(g):
-            size *= 2
+        size = max(MIN_RING, 1 << (2 * len(g) - 1).bit_length())
         ring_spectrum(np.array(g), size)  # raises unless the Fourier sum is nonnegative
         return CovarianceModel("fourier_sum", _finite_lags(g))
 

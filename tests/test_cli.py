@@ -428,6 +428,8 @@ def test_cli_runs_without_scipy():
     code = """
 import contextlib, io, sys
 from levelcross.cli import main
+# the companion counter imports its thread pool, and so logging, only when it runs
+assert "concurrent.futures" not in sys.modules
 runs = [
     ["compute", "--n", "20", "--model", "geometric:0.5", "--k", "1", "--interval", "-inf..inf"],
     ["sweep", "--n", "16:32:x2", "--model", "independent", "--k-rule", "fixed:1", "--interval", "-1..1"],

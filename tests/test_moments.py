@@ -11,6 +11,7 @@ from levelcross.moments import (
     MomentWorkspace,
     PolynomialEnsemble,
     erf_integral,
+    intensity,
     _smooth_length,
     moment_arrays,
     scaled_outer_from_inner,
@@ -107,6 +108,8 @@ def test_workspace_reuse_is_bit_identical_to_fresh_calls(n):
         rng.uniform(-1, 1, 15) * 10.0 ** -rng.uniform(0, 12, 15),  # z nodes near 0
         -np.linspace(-0.9, 0.9, 15) ** 3,
     ]
+    with pytest.raises(ValueError, match=f"covers lags 0..{n - 1}, need 0..{n}"):
+        MomentWorkspace(gamma[:-1], n, 15)
     ws = MomentWorkspace(gamma, n, 15)
     kept = []
     for xs in batches:
@@ -248,6 +251,9 @@ def test_integrand_degenerate_gram_is_removable():
     v = integrand(_ens(3, level=1.0), MomentTriple(A=1.0, B=1.0, C=1.0))
     assert v.F1 == 0.0
     assert math.isfinite(v.F2)
+    # past the tolerance, AC < B^2 is no covariance: A = C = 1, B = 2
+    with pytest.raises(ValueError, match="AC - B\\^2 < 0"):
+        intensity(np.array([1.0]), np.array([2.0]), np.array([1.0]), 1.0, np.array([2.0]), np.array([1.0]))
 
 
 def test_integrand_rejects_mismatched_scaling():

@@ -110,6 +110,10 @@ def test_sampling_seed_reproducible():
 def test_sampling_shape():
     batch = sample_coefficients(CovarianceModel.independent(), 7, 40, seed=0)
     assert batch.coeffs.shape == (40, 8)
+    with pytest.raises(ValueError, match="need at least 2 coefficients, got n = 0"):
+        sample_coefficients(CovarianceModel.independent(), 0, 40, seed=0)
+    with pytest.raises(ValueError, match="need count >= 1, got 0"):
+        sample_coefficients(CovarianceModel.independent(), 7, 0, seed=0)
 
 
 # -- deterministic root counting -------------------------------------------------
@@ -219,6 +223,15 @@ def _from_roots(*roots):
 
 EDGE_SPECS = (FULL_LINE, IntervalSpec(-1.0, 1.0), IntervalSpec(1.0, math.inf),
               IntervalSpec(-2.0, 3.0), IntervalSpec(-math.inf, -0.5))
+
+
+@pytest.mark.parametrize("K", [0.0, 1.5])
+def test_nonzero_constant_has_no_crossings(K):
+    # degree 0 after the level shift: one coefficient, tiny, subnormal or huge
+    rows = np.array([[1e-300], [5e-324], [-1e308], [K + 2.0]])
+    zeros = np.zeros((len(rows), len(EDGE_SPECS)), dtype=np.int64)
+    np.testing.assert_array_equal(count_crossings_bisect_batch(rows, K, EDGE_SPECS), zeros)
+    np.testing.assert_array_equal(montecarlo._companion_counts(rows, K, EDGE_SPECS), zeros)
 
 
 # Real roots are non-dyadic, so none lands on a bisection midpoint.
@@ -368,7 +381,7 @@ def test_companion_counts_do_not_depend_on_workers_or_chunking(monkeypatch, batc
         return count_real_roots(*args)
 
     monkeypatch.setattr(montecarlo, "_count_real_roots", recorded)
-    switch = sys.getswitchinterval()
+    switch, active = sys.getswitchinterval(), threading.active_count()
     sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
     try:
         for chunk_bytes in (montecarlo._CHUNK_BYTES, 3 * 8 * 64 * 64):  # the latter: a few rows a job
@@ -379,6 +392,7 @@ def test_companion_counts_do_not_depend_on_workers_or_chunking(monkeypatch, batc
                 got = montecarlo._companion_counts(coeffs, K, EDGE_SPECS)
                 assert np.array_equal(got, want), (chunk_bytes, workers)
                 assert len(threads) == workers
+                assert threading.active_count() == active  # every helper thread has ended
     finally:
         sys.setswitchinterval(switch)
 
@@ -424,8 +438,19 @@ def test_companion_worker_exception_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_count_real_roots", failing)
     coeffs = sample_coefficients(CovarianceModel.independent(), 20, 300, seed=1).coeffs
+    active = threading.active_count()
     with pytest.raises(RuntimeError, match="injected failure"):
         montecarlo._companion_counts(coeffs, 0.0, [FULL_LINE])
+    assert threading.active_count() == active
+
+
+def test_workers_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity: the same counts, on os.cpu_count() threads
+    coeffs = sample_coefficients(CovarianceModel.geometric(0.5), 50, 300, seed=1).coeffs
+    want = montecarlo._companion_counts(coeffs, 1.0, EDGE_SPECS)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert montecarlo._workers() == (os.cpu_count() or 1)
+    np.testing.assert_array_equal(montecarlo._companion_counts(coeffs, 1.0, EDGE_SPECS), want)
 
 
 def test_companion_counter_emits_no_warning_from_worker_threads(monkeypatch):
@@ -527,6 +552,33 @@ def test_all_samples_refused_gives_flagged_nan_without_warnings():
     assert est.count == 0 and est.rejected_fraction == 1.0 and est.flagged
     assert math.isnan(est.mean) and math.isnan(est.std_error)
 
+
+@pytest.mark.parametrize("level, value, code", [("1.7e308", "nan", 1), ("1e306", "1.1000000000000001", 0)])
+def test_bisection_at_huge_level_emits_no_warning(capsys, level, value, code):
+    # the Horner sums overflow; at 1.7e308 every sample is refused and the row is flagged
+    argv = ["simulate", "--n", "50", "--model", "independent", "--k", level, "--counter", "bisect",
+            "--count", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    out = capsys.readouterr()
+    header, line = out.out.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["value"], row["flagged"], out.err) == (value, str(code), "")
+
+
+def test_companion_counts_it_accepts_at_huge_level_are_bisections():
+    # At K = 1e300 the eigenvalues spread over |x| = 3e4..3e7 and |x|^50
+    # overflows, so S0 = inf there; a candidate passes the backward-error
+    # test only on the reversed polynomial at 1/x.
+    e = _ens(50, level=1e300)
+    coeffs = sample_coefficients(e.model, e.n, 300, seed=0).coeffs
+    companion = montecarlo._companion_counts(coeffs, e.level, [FULL_LINE])[:, 0]
+    bisect = count_crossings_bisect_batch(coeffs, e.level, [FULL_LINE])[:, 0]
+    accepted = companion >= 0
+    assert accepted.any() and np.array_equal(companion[accepted], bisect[accepted])
+    auto = estimate_crossings(e, FULL_LINE, count=300, seed=0, counter="auto")
+    assert auto.mean == estimate_crossings(e, FULL_LINE, count=300, seed=0, counter="bisect").mean
 
 
 @pytest.mark.parametrize("level", [1e60, 1e150])

@@ -109,6 +109,8 @@ def test_covariance_sequence_requires_unit_variance():
 def test_model_constant_covariance_is_flat():
     gamma = CovarianceModel.constant(0.5).covariance(4)
     np.testing.assert_allclose(gamma, [1.0, 0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="need m >= 0, got -1"):
+        CovarianceModel.constant(0.5).covariance(-1)
 
 
 def test_model_lags_have_closed_forms():
@@ -171,6 +173,9 @@ def test_geometric_rho_range():
         CovarianceModel.geometric(1.0)
     with pytest.raises(ValueError):
         CovarianceModel.geometric(-0.2)
+    for rho in (1.0, 0.0):
+        with pytest.raises(ValueError, match="constant covariance needs rho in"):
+            CovarianceModel.constant(rho)
 
 
 def test_sample_covariance_matrix_positive_definite():
