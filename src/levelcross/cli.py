@@ -10,10 +10,13 @@ Subcommands:
 
 Every command builds its rows in one loop: for each n it sets K = K(n),
 draws one Monte Carlo batch for simulate and compare, and writes one row
-per interval.  K(n) comes from --k-rule, then --k, then the config's
-k_rule, then its k, then 0; 'fixed:K' and 'growing:c' rules apply to
-every command.  Output is CSV (fixed column order, 17 significant digits)
-or strict JSON records with identical field names (an infinite interval
+per interval.  Flags lie over the fields of a --config JSON object: n,
+model, k, k_rule, interval (or intervals), tol, count, seed, counter and
+output.  Null means unset, and an unknown field or a bad value exits 2
+naming it.  K(n) comes from --k-rule, then --k, then the config's k_rule,
+then its k, then 0; 'fixed:K' and 'growing:c' rules apply to every
+command.  Output is CSV (fixed column order, 17 significant digits) or
+strict JSON records with identical field names (an infinite interval
 bound is the string "-inf" or "inf", any other non-finite number null).
 Intervals use 'a..b' with -inf/inf tokens; degrees use 'start:stop:x2'
 (dyadic) or comma lists, each >= 1 and strictly ascending.
@@ -26,10 +29,11 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .asymptotics import fit_log_slope, interval_prediction
-from .montecarlo import estimate_crossings_per_interval
+from .montecarlo import COUNTERS, estimate_crossings_per_interval
 from .moments import PolynomialEnsemble
 from .quadrature import IntervalSpec, expected_crossings
 from .spectrum import CovarianceModel
@@ -228,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("simulate", "compare"):
             p.add_argument("--count", type=int, help="Monte Carlo samples (default 1000)")
             p.add_argument("--seed", type=int, help="master seed (default 0)")
-            p.add_argument("--counter", choices=("auto", "companion", "bisect"),
-                           help="root counter (default auto)")
+            p.add_argument("--counter", choices=COUNTERS, help="root counter (default auto)")
         if name == "sweep":
             p.add_argument("--k-rule", dest="k_rule",
                            help="'fixed:K' or 'growing:c' (K(n)=c*sqrt(n/loglog n)/log n)")
@@ -251,6 +254,12 @@ def _seed(value) -> int:
     return seed
 
 
+def _counter(value) -> str:
+    if value not in COUNTERS:
+        raise ValueError(f"expected one of {', '.join(COUNTERS)}, got {value!r}")
+    return value
+
+
 def _typed(key, convert, value):
     """convert(value), None kept; a wrong JSON type or a bad value names its field."""
     if value is None:
@@ -263,6 +272,11 @@ def _typed(key, convert, value):
         raise ValueError(f"{key}: {exc}") from None
 
 
+# config field -> (converter, default); n, model, K and the intervals are resolved on their own
+_FIELDS = {"tol": (float, 1e-6), "count": (_integer, 1000), "seed": (_seed, 0),
+           "counter": (_counter, "auto"), "output": (str, None)}
+
+
 def _load_config(args) -> RunConfig:
     file_cfg = {}
     if args.config:
@@ -270,21 +284,19 @@ def _load_config(args) -> RunConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config: expected a JSON object, got {type(file_cfg).__name__}")
-
-    def pick(flag_value, key, default=None):
-        """The flag if given, else the config field if set, else the default."""
-        if flag_value is not None:
-            return flag_value
-        value = file_cfg.get(key)
-        return default if value is None else value
-
-    n_text = pick(args.n, "n")
-    if n_text is None:
-        raise ValueError("n: degree is required (flag --n or config field 'n')")
-    model_text = pick(args.model, "model")
-    if model_text is None:
-        raise ValueError("model: model is required (flag --model or config field 'model')")
-    intervals_raw = pick(args.interval, "intervals") or pick(None, "interval")
+        unknown = file_cfg.keys() - _FIELDS.keys() - {"n", "model", "k", "k_rule", "interval", "intervals"}
+        if unknown:
+            raise ValueError(f"config: unknown field {', '.join(map(repr, sorted(unknown)))}")
+    # flags over the config's set (non-null) fields; a K flag hides both config K fields, so
+    # K(n) comes from --k-rule, then --k, then the config's k_rule, then its k, then 0
+    given = {key: v for key, v in vars(args).items() if v is not None}
+    hidden = ("k", "k_rule") if given.keys() & {"k", "k_rule"} else ()
+    fields = {key: v for key, v in file_cfg.items() if v is not None and key not in hidden}
+    intervals_raw = given.get("interval") or fields.get("intervals") or fields.get("interval")
+    fields.update(given)
+    for key, what in (("n", "degree"), ("model", "model")):
+        if key not in fields:
+            raise ValueError(f"{key}: {what} is required (flag --{key} or config field '{key}')")
     if intervals_raw is None:
         # compare defaults to the inner/outer split, everything else to the line
         intervals_raw = ["-1..1", "1..inf"] if args.command == "compare" else ["-inf..inf"]
@@ -292,36 +304,25 @@ def _load_config(args) -> RunConfig:
         intervals_raw = [intervals_raw]
     if not intervals_raw:
         raise ValueError("intervals: expected at least one interval 'a..b', got []")
-
-    n_list = _typed("n", lambda v: _parse_n_spec(str(v)), n_text)
-    # K(n): --k-rule, then --k, then the config's k_rule, then its k, then 0
-    key, k_value = next(((key, v) for key, v in (
-        ("k_rule", getattr(args, "k_rule", None)), ("k", args.k),
-        ("k_rule", file_cfg.get("k_rule")), ("k", file_cfg.get("k"))) if v is not None), ("k", 0.0))
+    n_list = _typed("n", lambda v: _parse_n_spec(str(v)), fields["n"])
+    key = "k_rule" if "k_rule" in fields else "k"
     return RunConfig(
         command=args.command,
         n_list=n_list,
         k_rule=_typed(key, lambda v: _parse_k_rule(str(v), n_list) if key == "k_rule" else _fixed_level(v),
-                      k_value),
-        model_text=_typed("model", str, model_text),
+                      fields.get(key, 0.0)),
+        model_text=_typed("model", str, fields["model"]),
         intervals=[_typed("intervals", lambda v: IntervalSpec.parse(str(v)), t) for t in intervals_raw],
-        tol=_typed("tol", float, pick(args.tol, "tol", 1e-6)),
-        count=_typed("count", _integer, pick(getattr(args, "count", None), "count", 1000)),
-        seed=_typed("seed", _seed, pick(getattr(args, "seed", None), "seed", 0)),
-        counter=_typed("counter", str, pick(getattr(args, "counter", None), "counter", "auto")),
         fmt=args.format,
-        output=_typed("output", str, pick(args.output, "output")),
+        **{f: _typed(f, convert, fields.get(f, default)) for f, (convert, default) in _FIELDS.items()},
     )
 
 
 def run(cfg: RunConfig) -> int:
     rows = _table(cfg)
     comments = _slope_lines(cfg, rows) if cfg.command == "sweep" else []
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            _emit(rows, cfg.fmt, fh, comments)
-    else:
-        _emit(rows, cfg.fmt, sys.stdout, comments)
+    with open(cfg.output, "w") if cfg.output else nullcontext(sys.stdout) as out:
+        _emit(rows, cfg.fmt, out, comments)
     return 1 if any(r["flagged"] for r in rows) else 0
 
 

@@ -71,6 +71,7 @@ _LIVE_PER_COEFF = 64   # bisection refuses an interval with more live descendant
 _RNG_CHUNK = 512       # fixed visitor chunk so draws are scheduling-independent
 _CHUNK_BYTES = 2 << 20  # per chunk: a stack of companion matrices, or the
                         # bisection's Horner accumulators
+COUNTERS = ("auto", "companion", "bisect")  # the estimator's counter names
 
 __all__ = [
     "SampleBatch",
@@ -501,7 +502,7 @@ def estimate_crossings_per_interval(
     """
     if count < 100:
         raise ValueError(f"need count >= 100 samples, got {count}")
-    if counter not in ("auto", "companion", "bisect"):
+    if counter not in COUNTERS:
         raise ValueError(f"unknown counter {counter!r}")
     specs = list(specs)
     coeffs = sample_coefficients(e.model, e.n, count, seed).coeffs

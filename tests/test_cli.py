@@ -327,6 +327,53 @@ def test_config_that_is_not_an_object_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: ")
 
 
+@pytest.mark.parametrize("command", ["compute", "simulate"])
+@pytest.mark.parametrize("fields, named", [
+    ({"cuont": 5}, "'cuont'"),
+    ({"format": "json"}, "'format'"),
+    ({"tolerance": 1e-3}, "'tolerance'"),
+    ({"format": "json", "cuont": 5}, "'cuont', 'format'"),
+])
+def test_config_unknown_field_is_refused(tmp_path, capsys, command, fields, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", "count": 100, **fields}))
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: config: unknown field {named}\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate", "compare", "sweep"])
+@pytest.mark.parametrize("counter", ["fast", 5])
+def test_config_bad_counter_is_reported_on_every_command(tmp_path, capsys, command, counter):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", "count": 100, "counter": counter}))
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: counter: ")
+
+
+@pytest.mark.parametrize("field, file_value, flag, flag_value", [
+    ("count", 200, "--count", 300),
+    ("seed", 1, "--seed", 2),
+    ("counter", "bisect", "--counter", "companion"),
+    ("output", "from_file.csv", "--output", "from_flag.csv"),
+])
+def test_flag_beats_config_field(tmp_path, field, file_value, flag, flag_value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", field: file_value}))
+
+    def load(*extra):
+        args = cli.build_parser().parse_args(["simulate", "--config", str(cfg), *extra])
+        return getattr(cli._load_config(args), field)
+
+    assert load() == file_value
+    assert load(flag, str(flag_value)) == flag_value
+
+
 def test_non_finite_covariance_lag_is_reported(capsys):
     code = main(["compute", "--n", "8", "--model", "custom_fourier:1,nan"])
     assert code == 2
@@ -563,6 +610,18 @@ def test_k_flag_beats_config_k_rule(tmp_path, capsys, command):
     code, out = _run(capsys, [command, "--config", str(cfg), "--k", "0.5"])
     assert code == 0
     assert [r["K"] for r in _rows(out)] == ["0.5"]
+
+
+@pytest.mark.parametrize("fields, K", [
+    ({"k": 0.5, "k_rule": "growing:1"}, GROWING_AT_8),
+    ({"k": 0.5, "k_rule": None}, 0.5),
+])
+def test_config_k_rule_beats_config_k_unless_null(tmp_path, capsys, fields, K):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "8", "model": "independent", "interval": "-1..1", **fields}))
+    code, out = _run(capsys, ["compute", "--config", str(cfg)])
+    assert code == 0
+    assert [float(r["K"]) for r in _rows(out)] == [K]
 
 
 def _golden_table(text):
